@@ -27,7 +27,6 @@ from .extremal import ExtremalPoly, RemezOptions, solve_extremal
 from .realset import FiniteGapSet, make_set
 from .weights import (
     AbsPolyWeight,
-    CallableWeight,
     ProductWeight,
     RecipPolyWeight,
     SampledWeight,
@@ -220,6 +219,7 @@ def parse_options(doc, args) -> RemezOptions:
     tol = args.tol if args.tol is not None else opts.get("tol", 1e-11)
     grid = args.grid if args.grid is not None else opts.get("grid", 2048)
     tol = _as_number(tol, "/options/tol")
+    _expect(0.0 < tol < 1.0, "/options/tol", "expected a number with 0 < tol < 1")
     _expect(isinstance(grid, int) and grid >= 64, "/options/grid", "expected an integer >= 64")
     return RemezOptions(tol=tol, grid=grid)
 
@@ -248,22 +248,62 @@ def solution_to_json(sol: ExtremalPoly) -> dict:
     }
 
 
+def _finite_at(v, path):
+    x = _as_number(v, path)
+    _expect(math.isfinite(x), path, "expected a finite number")
+    return x
+
+
+def _positive_at(v, path):
+    x = _finite_at(v, path)
+    _expect(x > 0, path, "expected a positive number")
+    return x
+
+
+def _x_star_at(v, path):
+    """A finite number, or the string dumps() writes for an infinity."""
+    return float(v) if v in ("inf", "-inf") else _finite_at(v, path)
+
+
+def _int_at(v, path, lo):
+    ok = isinstance(v, int) and not isinstance(v, bool) and v >= lo
+    _expect(ok, path, f"expected an integer >= {lo}")
+    return v
+
+
+def _sign_at(v, path):
+    _expect(isinstance(v, int) and not isinstance(v, bool) and v in (-1, 1), path, "expected -1 or 1")
+    return v
+
+
+def _list_at(v, path, item):
+    _expect(isinstance(v, list), path, "expected a list")
+    return tuple(item(x, f"{path}/{i}") for i, x in enumerate(v))
+
+
 def solution_from_json(E: FiniteGapSet, data: dict) -> ExtremalPoly:
-    xs = data["x_star"]
-    x_star = math.inf if xs == "inf" else (-math.inf if xs == "-inf" else float(xs))
+    """Rebuild an embedded solution; a missing or malformed field raises
+    DescriptorError with its JSON path."""
+    _expect(isinstance(data, dict), "/solution", "expected an object")
+
+    def get(key, parse, *args):
+        path = f"/solution/{key}"
+        _expect(key in data, path, "missing required field")
+        return parse(data[key], path, *args)
+
     return ExtremalPoly(
         E=E,
-        n=int(data["n"]),
-        x_star=x_star,
-        center=float(data["center"]),
-        half=float(data["half"]),
-        cheb_coeffs=tuple(float(c) for c in data["cheb_coeffs"]),
-        t=float(data["t"]),
-        alternation=tuple(float(a) for a in data["alternation"]),
-        signs=tuple(int(s) for s in data["signs"]),
-        k_star=int(data["k_star"]),
-        defect=float(data["defect"]),
-        degree=int(data["degree"]),
+        n=get("n", _int_at, 1),
+        x_star=get("x_star", _x_star_at),
+        center=get("center", _finite_at),
+        half=get("half", _positive_at),
+        cheb_coeffs=get("cheb_coeffs", _list_at, _finite_at),
+        t=get("t", _positive_at),
+        alternation=get("alternation", _list_at, _finite_at),
+        signs=get("signs", _list_at, _sign_at),
+        k_star=get("k_star", _int_at, 0),
+        defect=get("defect", _finite_at),
+        degree=get("degree", _int_at, 0),
     )
 
 

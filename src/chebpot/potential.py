@@ -20,44 +20,102 @@ has density |M(t)| / (pi |t - c|^2 sqrt(|R(t)|)) with M of degree p fixed
 by a residue condition at c plus the gap period conditions.
 
 Quadrature: the substitution t = m - r*cos(theta) per band/gap removes
-the inverse-square-root endpoint singularities; Gauss-Legendre in theta
-then converges geometrically.  One-dimensional Green values at real
-points use int Q/sqrt(R) from the nearest band edge with a u^2
-substitution at the edge.  All computations run in coordinates
-normalized to the convex hull for conditioning.
+the inverse-square-root endpoint singularities and leaves a smooth
+integrand in theta; Fejer's first rule, with closed-form nodes clustered
+at the band ends, integrates it with geometric convergence.  Green values
+at real and complex points within a few hull radii come from one edge
+integral, Re int Q/sqrt(R) from the nearest band edge with a u^2
+substitution at the edge; farther out the equilibrium rule sums log|z - t|.  Szego
+integrals of weights with log w = log|lead| + sum e_j log|x - c_j| are
+closed forms in Green values (Frostman's identity).  All computations run
+in coordinates normalized to the convex hull for conditioning.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import integrate
-from scipy.optimize import brentq
 
 from .errors import BothComplexError, IllConditionedError, PoleOnSetError, ZeroOnSetError
 from .realset import FiniteGapSet, Gap, make_set
 from .weights import Weight
 
 _XREF = 3.0  # reference point in normalized coordinates (hull is [-1, 1])
-_NEAR_DIST = 0.05
+_EDGE_ORDERS = (16, 32, 64, 128, 256)  # Gauss-Legendre orders of the edge integral
+_EDGE_DIGITS = 41.5  # ln(1e18): target for rho^(-2n) on the Bernstein ellipse
+_CHUNK = 1 << 16  # array elements per temporary in batched evaluation (~1 MB)
+_ADAPT_INTERVALS = 2000  # open intervals at which adaptive quadrature accepts what it has
 
 
-@lru_cache(maxsize=32)
-def _leggauss01(n: int):
+@lru_cache(maxsize=None)
+def _gauss01(n: int):
+    """Gauss-Legendre rule on [0, 1] (orders of at most 256 are used)."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=32)
-def _leggauss0pi(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
+@lru_cache(maxsize=16)
+def _fejer_theta(n: int):
+    """Fejer's first rule in theta on (0, pi): (cos theta, weights).
+
+    The nodes theta = pi/2 (1 - cos((k + 1/2) pi/n)) are closed-form and
+    cluster at 0 and pi like Gauss-Legendre, which resolves singularities
+    just beyond a band's ends (narrow gaps); the weights take one FFT
+    (Waldvogel, BIT 46, 2006).
+    """
+    K = np.arange((n + 1) // 2)
+    v0 = np.concatenate([2 * np.exp(1j * np.pi * K / n) / (1 - 4 * K**2), np.zeros(n // 2 + 1)])
+    w = np.fft.ifft(v0[:-1] + np.conj(v0[:0:-1])).real
+    theta = 0.5 * np.pi * (1.0 - np.cos((np.arange(n) + 0.5) * (np.pi / n)))
+    return np.cos(theta), 0.5 * np.pi * w
+
+
+def _adaptive(f, breaks, epsabs: float = 1e-13, epsrel: float = 1e-12) -> float:
+    """int f over [breaks[0], breaks[-1]] by globally adaptive bisection.
+
+    f maps an array of abscissae to values.  Each interval's 11-point
+    Gauss-Legendre value (odd, so the midpoint is a node) is compared with
+    the sum over its halves; an interval is accepted when the difference is
+    within its length's share of max(epsabs, epsrel |integral|), else both
+    halves are refined together with every other open interval.  Integrable
+    endpoint singularities (log and floored poles) at the breakpoints are
+    resolved by repeated halving down to intervals of 1e-15 of the span.
+    """
+    u, wu = _gauss01(11)
+
+    def rule(lo, hi):
+        x = lo[:, None] + (hi - lo)[:, None] * u
+        return (f(x.ravel()).reshape(x.shape) @ wu) * (hi - lo)
+
+    breaks = np.asarray(breaks, dtype=float)
+    span = breaks[-1] - breaks[0]
+    lo, hi = breaks[:-1], breaks[1:]
+    coarse = rule(lo, hi)
+    done = 0.0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        fine = left + right
+        tol = max(epsabs, epsrel * abs(done + fine.sum()))
+        ok = np.abs(fine - coarse) <= tol * (hi - lo) / span
+        ok |= (hi - lo <= 1e-15 * span) | (lo.size > _ADAPT_INTERVALS)
+        done += fine[ok].sum()
+        keep = ~ok
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        coarse = np.concatenate([left[keep], right[keep]])
+    return float(done)
+
+
+def _sqrt_uhp(w):
+    """Square root with nonnegative imaginary part."""
+    s = np.sqrt(w)
+    np.negative(s, out=s, where=s.imag < 0)
+    return s
 
 
 class _Core:
@@ -74,7 +132,6 @@ class _Core:
         ]
         self.p = len(self.bands)
         self.ends = np.array([e for ab in self.bands for e in ab])
-        self._near_nodes = None
 
         prev_logcap = None
         n = order
@@ -93,6 +150,7 @@ class _Core:
             n *= 2
         self.order = n
         self.capacity = self.half * math.exp(self.logcap)
+        self._criticals_hat = self._find_criticals()
 
     # -- construction ------------------------------------------------------
 
@@ -106,8 +164,7 @@ class _Core:
         return np.sqrt(out)
 
     def _build(self, n: int):
-        theta, v = _leggauss0pi(n)
-        cos = np.cos(theta)
+        cos, v = _fejer_theta(n)
 
         # period conditions fix the p-1 free coefficients of monic Q
         if self.p == 1:
@@ -137,108 +194,122 @@ class _Core:
             m, r = 0.5 * (a + b), 0.5 * (b - a)
             tau = m - r * cos
             s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-            w = v * np.abs(P.polyval(tau, self.qh)) / (np.pi * s)
             nodes.append(tau)
-            weights.append(w)
+            weights.append(v * np.abs(P.polyval(tau, self.qh)) / (np.pi * s))
             self._band_slices.append((pos, pos + n))
             pos += n
         self.nodes = np.concatenate(nodes)
         self.weights = np.concatenate(weights)
         self.mass = float(self.weights.sum())
 
-        g_ref = self._edge_integral(1.0, _XREF, skip_index=2 * self.p - 1)
+        g_ref = self._edge(np.array([_XREF]), np.array([self.ends[-1]]))[0]
         self.logcap = float(
             np.dot(self.weights, np.log(np.abs(_XREF - self.nodes))) - g_ref
         )
 
-        self._criticals_hat = self._find_criticals()
-
-    def _edge_integral(self, edge: float, x: float, skip_index: int) -> float:
-        """int_edge^x Q/sqrt(|R|) dtau with the sqrt singularity at `edge` removed."""
-        u, w = _leggauss01(256)
-        tau = edge + (x - edge) * u * u
-        f = (
-            2.0
-            * math.sqrt(abs(x - edge))
-            * P.polyval(tau, self.qh)
-            / self._sqrt_excl(tau, skip=(skip_index,))
-        )
-        return float(np.dot(w, f))
-
     def _find_criticals(self):
-        out = []
-        for k in range(self.p - 1):
-            glo, ghi = self.bands[k][1], self.bands[k + 1][0]
-            fn = lambda t: P.polyval(t, self.qh)
-            zk = brentq(fn, glo, ghi, xtol=1e-15, rtol=8.9e-16)
-            out.append((k, zk, self.g_gap(zk)))
-        return out
+        """Zeros of Q (one per bounded gap) as companion eigenvalues, Newton-polished."""
+        if self.p == 1:
+            return []
+        lo = np.array([self.bands[k][1] for k in range(self.p - 1)])
+        hi = np.array([self.bands[k + 1][0] for k in range(self.p - 1)])
+        z = np.clip(np.sort(P.polyroots(self.qh).real), lo, hi)
+        dq = P.polyder(self.qh)
+        for _ in range(3):
+            z = np.clip(z - P.polyval(z, self.qh) / P.polyval(z, dq), lo, hi)
+        vals = self.g_hat(z)
+        return [(k, float(z[k]), float(vals[k])) for k in range(self.p - 1)]
 
     # -- evaluation --------------------------------------------------------
 
-    def band_index_hat(self, x: float) -> int:
-        for j, (a, b) in enumerate(self.bands):
-            if a <= x <= b:
-                return j
-        return -1
+    def _edge_orders(self, d, e):
+        """Per point, the smallest order in _EDGE_ORDERS (capped at 256) whose
+        Bernstein ellipse around u in [0, 1] excludes every other band edge.
 
-    def dist_hat(self, z: complex) -> float:
-        x, y = z.real, z.imag
-        best = math.inf
-        for a, b in self.bands:
-            dx = max(a - x, x - b, 0.0)
-            best = min(best, math.hypot(dx, y))
-        return best
-
-    def g_gap(self, x: float) -> float:
-        """Green value at a real point off the set via the edge integral."""
-        edges = self.ends
-        right_of = np.searchsorted(edges, x)
-        if right_of == 0:
-            e, idx = edges[0], 0
-        elif right_of == len(edges):
-            e, idx = edges[-1], len(edges) - 1
+        Edge e_i sits at u = +-sqrt((e_i - e)/d); a singularity at distance
+        delta from [0, 1] leaves the ellipse rho = 1 + 2 delta analytic.
+        """
+        w = (self.ends - e[:, None]) / d[:, None]
+        w[w == 0] = np.inf  # the point's own edge, removed by the substitution
+        if np.iscomplexobj(w):
+            u = np.sqrt(w)
+            dist = np.hypot(u.real - np.clip(u.real, 0.0, 1.0), u.imag)
         else:
-            lo_e, hi_e = edges[right_of - 1], edges[right_of]
-            if x - lo_e <= hi_e - x:
-                e, idx = lo_e, right_of - 1
-            else:
-                e, idx = hi_e, right_of
-        return abs(self._edge_integral(float(e), x, skip_index=int(idx)))
+            s = np.sqrt(np.abs(w))
+            dist = np.where(w > 0, s - 1.0, s)
+        need = _EDGE_DIGITS / (2.0 * np.log1p(2.0 * dist.min(axis=1)))
+        orders = np.array(_EDGE_ORDERS)
+        return orders[np.minimum(np.searchsorted(orders, need), len(orders) - 1)]
 
-    def _near_rule(self):
-        if self._near_nodes is None:
-            theta, v = _leggauss0pi(2048)
-            cos = np.cos(theta)
-            nodes, weights = [], []
-            for j, (a, b) in enumerate(self.bands):
-                m, r = 0.5 * (a + b), 0.5 * (b - a)
-                tau = m - r * cos
-                s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-                nodes.append(tau)
-                weights.append(v * np.abs(P.polyval(tau, self.qh)) / (np.pi * s))
-            self._near_nodes = (np.concatenate(nodes), np.concatenate(weights))
-        return self._near_nodes
+    def _edge(self, z, e):
+        """g at points z (real, or in the upper half plane) as |Re int_e^z Q/sqrt(R)|
+        from the band edge e of each point.
 
-    def g_hat(self, z) -> float:
-        """Green function with pole at infinity, normalized coordinates."""
-        z = complex(z)
-        if math.isinf(abs(z)):
-            return math.inf
-        if z.imag == 0.0:
-            x = z.real
-            if self.band_index_hat(x) >= 0:
-                return 0.0
-            if abs(x) <= _XREF:
-                return self.g_gap(x)
-            return float(
-                np.dot(self.weights, np.log(np.abs(x - self.nodes))) - self.logcap
-            )
-        if self.dist_hat(z) < _NEAR_DIST:
-            nodes, weights = self._near_rule()
+        tau = e + d u^2 with d = z - e gives dtau = 2 d u du and turns the
+        square-root singularity at e into the smooth factor u/sqrt(tau - e).
+        The differences tau - e_i are formed as (e - e_i) + d u^2, exact at
+        the point's own edge.  Complex points take sqrt(R) as the product of
+        square roots of pairs of factors, each in the upper half plane: this
+        is the branch analytic off the bands with sqrt(R) ~ tau^p at infinity.
+        """
+        cplx = np.iscomplexobj(z)
+        d = z - e
+        orders = self._edge_orders(d, e)
+        out = np.empty(z.shape)
+        for n in np.unique(orders):
+            u, wu = _gauss01(int(n))
+            u2 = u * u
+            sel = np.flatnonzero(orders == n)
+            rows = max(1, _CHUNK // int(n))
+            for s0 in range(0, sel.size, rows):
+                ix = sel[s0 : s0 + rows]
+                di, ei = d[ix, None], e[ix, None]
+                du2 = di * u2
+                tau = ei + du2
+                num = (2.0 * u) * di * P.polyval(tau, self.qh)
+                if cplx:
+                    root = np.ones_like(tau)
+                    for a, b in self.ends.reshape(-1, 2):
+                        root *= _sqrt_uhp((du2 + (ei - a)) * (du2 + (ei - b)))
+                    out[ix] = np.abs((num / root).real @ wu)
+                else:
+                    prod = np.ones_like(tau)
+                    for a in self.ends:
+                        prod *= du2 + (ei - a)
+                    out[ix] = np.abs((num / np.sqrt(np.abs(prod))) @ wu)
+        return out
+
+    def _log_potential(self, z):
+        """int log|z - t| drho(t) - log cap with the equilibrium rule (z far from E)."""
+        x = z.real
+        y2 = np.square(z.imag) if np.iscomplexobj(z) else np.zeros(z.shape)
+        out = np.empty(z.shape)
+        rows = max(1, _CHUNK // self.nodes.size)
+        for s0 in range(0, z.size, rows):
+            sl = slice(s0, s0 + rows)
+            d2 = np.square(x[sl, None] - self.nodes) + y2[sl, None]
+            out[sl] = 0.5 * (np.log(d2) @ self.weights)
+        return out - self.logcap
+
+    def g_hat(self, tau) -> np.ndarray:
+        """Green function with pole at infinity at a 1-d array of points in
+        normalized coordinates, either all real or all off the real axis."""
+        if np.iscomplexobj(tau):
+            tau = tau.real + 1j * np.abs(tau.imag)  # g(conj z) = g(z)
+            near = np.abs(tau) <= _XREF
         else:
-            nodes, weights = self.nodes, self.weights
-        return float(np.dot(weights, np.log(np.abs(z - nodes))) - self.logcap)
+            # off the set: an even number of band ends lies on each side
+            below = np.searchsorted(self.ends, tau, side="left")
+            above = np.searchsorted(self.ends, tau, side="right")
+            near = (np.abs(tau) <= _XREF) & (below % 2 == 0) & (above % 2 == 0)
+        far = np.abs(tau) > _XREF
+        out = np.zeros(tau.shape)
+        if far.any():
+            out[far] = self._log_potential(tau[far])
+        if near.any():
+            pts = tau[near]
+            out[near] = self._edge(pts, self.ends[np.argmin(np.abs(pts[:, None] - self.ends), axis=1)])
+        return out
 
     @staticmethod
     def _theta_of(a: float, b: float, x: float) -> float:
@@ -251,7 +322,7 @@ class _Core:
         if hi <= lo:
             return 0.0
         total = 0.0
-        u, w = np.polynomial.legendre.leggauss(order)
+        u, w = _gauss01(order)
         for j, (a, b) in enumerate(self.bands):
             c, d = max(lo, a), min(hi, b)
             if d <= c:
@@ -259,12 +330,10 @@ class _Core:
             m, r = 0.5 * (a + b), 0.5 * (b - a)
             th1 = self._theta_of(a, b, c)
             th2 = self._theta_of(a, b, d)
-            theta = 0.5 * (th2 + th1) + 0.5 * (th2 - th1) * u
-            ww = 0.5 * (th2 - th1) * w
-            tau = m - r * np.cos(theta)
+            tau = m - r * np.cos(th1 + (th2 - th1) * u)
             s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-            total += float(
-                np.dot(ww, np.abs(P.polyval(tau, self.qh)) / (np.pi * s))
+            total += (th2 - th1) * float(
+                np.dot(w, np.abs(P.polyval(tau, self.qh)) / (np.pi * s))
             )
         return total
 
@@ -311,24 +380,27 @@ class EquilibriumData:
     """Equilibrium measure of a finite-gap set.
 
     Q holds monomial coefficients (low to high) of the monic degree-(p-1)
-    polynomial in the original variable; robin = -log capacity.
+    polynomial in the original variable; robin = -log capacity.  The object
+    holds no quadrature rule, so results that keep it stay small; density and
+    mass use the set's cached core.
     """
 
     E: FiniteGapSet
     Q: tuple[float, ...]
     capacity: float
     robin: float
-    _core: _Core = field(repr=False, compare=False)
+    _band_masses: tuple[float, ...] = field(repr=False, compare=False)
 
     def density(self, t):
-        return self._core.density_hat(self._core.to_hat(np.asarray(t, dtype=float))) / self._core.half
+        core = _core(self.E)
+        return core.density_hat(core.to_hat(np.asarray(t, dtype=float))) / core.half
 
     def mass(self, lo: float, hi: float) -> float:
-        return self._core.mass_hat(self._core.to_hat(lo), self._core.to_hat(hi))
+        core = _core(self.E)
+        return core.mass_hat(core.to_hat(lo), core.to_hat(hi))
 
     def band_masses(self) -> np.ndarray:
-        w = self._core.weights
-        return np.array([w[i:j].sum() for i, j in self._core._band_slices])
+        return np.array(self._band_masses)
 
 
 @lru_cache(maxsize=64)
@@ -342,7 +414,7 @@ def equilibrium(E: FiniteGapSet) -> EquilibriumData:
         Q=tuple(float(c) for c in coeffs),
         capacity=core.capacity,
         robin=-math.log(core.capacity),
-        _core=core,
+        _band_masses=tuple(float(core.weights[i:j].sum()) for i, j in core._band_slices),
     )
 
 
@@ -368,20 +440,38 @@ class GreenEvaluator:
     pw_sum: float
     _core: _Core = field(repr=False, compare=False)
 
-    def _one(self, z) -> float:
-        if math.isinf(self.pole):
-            return self._core.g_hat(self._core.to_hat(complex(z)))
-        z = complex(z)
-        if z == self.pole:
-            return math.inf
-        s = 0.0 if math.isinf(abs(z)) else 1.0 / (z - self.pole)
-        return self._core.g_hat(self._core.to_hat(s))
-
     def __call__(self, z):
-        if np.isscalar(z) or isinstance(z, complex):
-            return self._one(z)
+        """g at a point (returns a float) or elementwise over an array.
+
+        Points with zero imaginary part take real arithmetic whatever the
+        array's dtype, so a value does not depend on how it was passed.
+        """
         arr = np.asarray(z)
-        return np.array([self._one(v) for v in arr.ravel()]).reshape(arr.shape)
+        flat = arr.ravel()
+        if np.iscomplexobj(flat):
+            real = flat.imag == 0
+            out = np.empty(flat.shape)
+            out[real] = self._eval(flat.real[real])
+            out[~real] = self._eval(flat[~real])
+        else:
+            out = self._eval(flat.astype(float))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _eval(self, pts):
+        """g at a 1-d array of points, all real or all off the real axis."""
+        core = self._core
+        infinite = np.isinf(pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if math.isinf(self.pole):
+                g = core.g_hat(core.to_hat(pts))
+                g[infinite] = math.inf
+            else:
+                s = 1.0 / (pts - self.pole)
+                s[infinite] = 0.0
+                g = core.g_hat(core.to_hat(s))
+                g[pts == self.pole] = math.inf
+        g[np.isnan(pts)] = math.nan
+        return g
 
 
 @lru_cache(maxsize=128)
@@ -470,22 +560,28 @@ class HarmonicMeasure:
         return self.base + 1.0 / s if self._finite else s
 
     def log_integral_once(self, w: Weight, floor: float) -> float:
-        """int max(log w, -floor) d(omega) by adaptive quadrature per band."""
+        """int max(log w, -floor) d(omega) by adaptive quadrature in theta per
+        band, with the weight's kinks and log-singularities as breakpoints.
+
+        Only weights without a closed-form log (sampled, callable) need this.
+        """
         core = self._core
-        sings = w.log_singularities(self.E)
+        sings = w.kinks(self.E)
         total = 0.0
         for j, (a, b) in enumerate(core.bands):
             m, r = 0.5 * (a + b), 0.5 * (b - a)
+            # t within a few ulps of a band end rounds onto it, where a weight
+            # that vanishes at the end reads 0: w is sampled strictly inside
+            lo_t, hi_t = sorted(float(self._pull(e)) for e in (a, b))
+            pad = 4.0 * np.spacing(max(abs(lo_t), abs(hi_t)))
 
             def integrand(theta):
-                tau = m - r * math.cos(theta)
-                t = self._pull(tau)
-                wval = float(w(np.array([t]))[0])
-                lw = math.log(wval) if wval > 0 else -math.inf
-                lw = max(lw, -floor)
-                s = float(core._sqrt_excl(np.array([tau]), skip=(2 * j, 2 * j + 1))[0])
-                dens = abs(float(P.polyval(tau, core.qh))) / (math.pi * s)
-                return lw * dens
+                tau = m - r * np.cos(theta)
+                t = np.clip(self._pull(tau), lo_t + pad, hi_t - pad)
+                with np.errstate(divide="ignore"):
+                    lw = np.maximum(np.log(np.asarray(w(t), dtype=float)), -floor)
+                s = core._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
+                return lw * np.abs(P.polyval(tau, core.qh)) / (np.pi * s)
 
             points = []
             for ts in sings:
@@ -499,19 +595,7 @@ class HarmonicMeasure:
                 if a < tau_s < b:
                     arg = min(1.0, max(-1.0, (m - tau_s) / r))
                     points.append(math.acos(arg))
-            with warnings.catch_warnings():
-                # endpoint log singularities are expected; QUADPACK extrapolates
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                val, _ = integrate.quad(
-                    integrand,
-                    0.0,
-                    np.pi,
-                    points=sorted(points) if points else None,
-                    limit=300,
-                    epsabs=1e-13,
-                    epsrel=1e-12,
-                )
-            total += val
+            total += _adaptive(integrand, [0.0, *sorted(points), np.pi])
         return total
 
 
@@ -569,9 +653,8 @@ def green_cross(E: FiniteGapSet, z, pole) -> float:
         # symmetry: evaluate g(., z) at the real point `pole`
         return green_cross(E, pv, zv)
     if zk == "inf":
-        # g(inf, pole) = g(pole, inf); equilibrium formula handles complex poles
-        core = _core(E)
-        return core.g_hat(core.to_hat(complex(pv)))
+        # g(inf, pole) = g(pole, inf), also for a complex pole
+        return green(E, math.inf)(pv)
 
     meas = harmonic_measure(E, zv)
     t, w = meas.nodes_weights()
@@ -596,7 +679,43 @@ class SzegoIntegral:
     floor_values: tuple[float, ...]
 
 
+def _log_moment(E: FiniteGapSet, c: complex, x_star: float) -> float:
+    """int log|t - c| d omega_E(t, x*) from Green values (Frostman's identity):
+
+        log cap E + g_E(c, inf)                         for x* = inf,
+        log|x* - c| + g_E(x*, c) - g_E(x*, inf)         for finite x*,
+
+    with g = 0 for c on E and, for c = x*, log|x* - c| + g_E(x*, c) replaced
+    by its limit, the Robin constant -log cap(1/(E - x*)) of the pole.
+    """
+    diam = E.diameter
+    on_set = abs(c.imag) <= 1e-14 * diam and E.contains(c.real)
+    if math.isinf(x_star):
+        return math.log(equilibrium(E).capacity) + (0.0 if on_set else green(E)(c))
+    g_star = green(E)(x_star)
+    if abs(c - x_star) <= 1e-12 * diam:
+        return -math.log(equilibrium(_inverted_set(E, x_star)).capacity) - g_star
+    # symmetry: g_E(x*, c) = g_E(c, x*) uses the Green function of the pole x*
+    return math.log(abs(x_star - c)) + (0.0 if on_set else green(E, x_star)(c)) - g_star
+
+
 def szego_integral(E: FiniteGapSet, w: Weight, x_star: float = math.inf) -> SzegoIntegral:
+    """int log w d omega_E(., x*): a closed form in Green values when
+    log w = log lead + sum e_j log|x - c_j| on E, else adaptive quadrature."""
+    form = w.log_factors(E)
+    if form is None:
+        return _szego_quadrature(E, w, x_star)
+    x_star = float(x_star)
+    if math.isnan(x_star):
+        raise ValueError("base must be a real number or +-inf")
+    if E.contains(x_star):
+        raise PoleOnSetError(f"base {x_star} lies on the set")
+    lead, terms = form
+    val = math.log(lead) + sum(e * _log_moment(E, complex(c), x_star) for c, e in terms)
+    return SzegoIntegral(val, False, (val,))
+
+
+def _szego_quadrature(E: FiniteGapSet, w: Weight, x_star: float) -> SzegoIntegral:
     meas = harmonic_measure(E, x_star)
     t, ww = meas.nodes_weights()
     wt = np.asarray(w(t), dtype=float)
@@ -628,33 +747,14 @@ def szego_recip_poly(E: FiniteGapSet, zeros, x_star: float = math.inf, lead: flo
     extended by limits to x* = inf and to x* at a zero of P_m.
     """
     zeros = [complex(c) for c in zeros]
-    diam = E.diameter
     for c in zeros:
-        if abs(c.imag) <= 1e-14 * diam and E.contains(c.real):
+        if abs(c.imag) <= 1e-14 * E.diameter and E.contains(c.real):
             raise ZeroOnSetError(f"zero {c} lies on the set")
-    m = len(zeros)
-    lead = abs(float(lead))
-    cap = equilibrium(E).capacity
-
-    if math.isinf(x_star):
-        total = sum(green_cross(E, c, math.inf) for c in zeros)
-        return math.exp(-total) / (lead * cap**m)
-
     x_star = float(x_star)
     if E.contains(x_star):
         raise PoleOnSetError(f"normalization point {x_star} lies on the set")
-    match_tol = 1e-12 * diam
-    matched = [c for c in zeros if abs(c - x_star) <= match_tol]
-    others = [c for c in zeros if abs(c - x_star) > match_tol]
-    g_inf = green(E, math.inf)(x_star)
-    total = sum(green_cross(E, x_star, c) for c in others)
-    pm_reduced = lead * abs(np.prod([x_star - c for c in others])) if others else lead
-    val = math.exp(m * g_inf - total) / pm_reduced
-    if matched:
-        # Robin-type constant of the pole: g(z, x*) + log|z - x*| -> -log cap(1/(E - x*))
-        gamma = -math.log(equilibrium(_inverted_set(E, x_star)).capacity)
-        val *= math.exp(-len(matched) * gamma)
-    return val
+    total = sum(_log_moment(E, c, x_star) for c in zeros)
+    return math.exp(-math.log(abs(float(lead))) - total)
 
 
 # -- conjugate-pair harmonic measure ------------------------------------------
@@ -692,7 +792,7 @@ class PairMeasure:
         ch = complex((self.base - core.center) / core.half)
         M = np.asarray(self._M)
         lo, hi = core.to_hat(lo), core.to_hat(hi)
-        u, w = np.polynomial.legendre.leggauss(order)
+        u, w = _gauss01(order)
         total = 0.0
         for j, (a, b) in enumerate(core.bands):
             c, d = max(lo, a), min(hi, b)
@@ -701,12 +801,10 @@ class PairMeasure:
             m, r = 0.5 * (a + b), 0.5 * (b - a)
             th1 = core._theta_of(a, b, c)
             th2 = core._theta_of(a, b, d)
-            theta = 0.5 * (th2 + th1) + 0.5 * (th2 - th1) * u
-            ww = 0.5 * (th2 - th1) * w
-            tau = m - r * np.cos(theta)
+            tau = m - r * np.cos(th1 + (th2 - th1) * u)
             s = core._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
             f = np.abs(P.polyval(tau, M)) / (np.pi * np.abs(tau - ch) ** 2 * s)
-            total += float(np.dot(ww, f))
+            total += (th2 - th1) * float(np.dot(w, f))
         return total
 
     def total(self) -> float:
@@ -742,8 +840,7 @@ def conjugate_pair_measure(E: FiniteGapSet, base: complex) -> PairMeasure:
     target = -(ch - ch.conjugate()) * _sqrt_R_branch(core, ch)
     rhs[0], rhs[1] = target.real, target.imag
 
-    theta, v = _leggauss0pi(max(256, core.order))
-    cos = np.cos(theta)
+    cos, v = _fejer_theta(max(256, core.order))
     for k in range(p - 1):
         glo, ghi = core.bands[k][1], core.bands[k + 1][0]
         m, r = 0.5 * (glo + ghi), 0.5 * (ghi - glo)

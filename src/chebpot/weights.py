@@ -51,6 +51,15 @@ class Weight:
         """Points of E where log w diverges to -inf (quadrature breakpoints)."""
         return ()
 
+    def kinks(self, E: FiniteGapSet):
+        """Points of E where w is not smooth: breakpoints of adaptive quadrature."""
+        return self.log_singularities(E)
+
+    def log_factors(self, E: FiniteGapSet):
+        """(lead, ((c_j, e_j), ...)) with log w = log lead + sum e_j log|x - c_j|
+        on E, or None when w has no such form there."""
+        return None
+
     def tail_lower_qualified(self, E: FiniteGapSet) -> bool:
         """True when w >= |P| on E for some nonzero polynomial P."""
         return False
@@ -73,6 +82,9 @@ class UnitWeight(Weight):
 
     def recip_data(self):
         return (0, (), 1.0)
+
+    def log_factors(self, E):
+        return (1.0, ())
 
     def square_rational(self, center, half):
         return (np.array([1.0]), np.array([1.0]))
@@ -112,6 +124,9 @@ class AbsPolyWeight(Weight):
 
     def log_singularities(self, E):
         return _real_zeros_on(E, self.zeros, tol=1e-12 * E.diameter)
+
+    def log_factors(self, E):
+        return (abs(float(self.coeffs[-1])), tuple((c, 1.0) for c in self.zeros))
 
     def tail_lower_qualified(self, E):
         return True
@@ -153,6 +168,9 @@ class RecipPolyWeight(Weight):
 
     def recip_data(self):
         return (self.degree, self._zeros, self.lead)
+
+    def log_factors(self, E):
+        return (1.0 / abs(self.lead), tuple((c, -1.0) for c in self._zeros))
 
     def square_rational(self, center, half):
         p = _poly_to_cheb_y(self.coeffs, center, half)
@@ -198,6 +216,12 @@ class SemicircleWeight(Weight):
         pts = [p for a, b in self.pairs for p in (a, b)]
         return tuple(p for p in pts if E.contains(p, 1e-12 * E.diameter))
 
+    def log_factors(self, E):
+        lo, hi = E.hull
+        if any(a > lo or b < hi for a, b in self.pairs):
+            return None  # w vanishes on part of E: left to the divergence test
+        return (1.0, tuple((c, 0.5) for pair in self.pairs for c in pair))
+
     def tail_lower_qualified(self, E):
         # eps*(x-a)(b-x) is a polynomial minorant of each factor on [a, b]
         return True
@@ -227,6 +251,9 @@ class SampledWeight(Weight):
     def log_singularities(self, E):
         mask = self.values <= 0
         return tuple(t for t in self.grid[mask] if E.contains(t, 1e-12 * E.diameter))
+
+    def kinks(self, E):
+        return tuple(t for t in self.grid if E.contains(t, 1e-12 * E.diameter))
 
     def tail_lower_qualified(self, E):
         return bool(np.all(self.values > 0))
@@ -290,6 +317,18 @@ class ProductWeight(Weight):
         for w in self.factors:
             pts.extend(w.log_singularities(E))
         return tuple(sorted(set(pts)))
+
+    def kinks(self, E):
+        return tuple(sorted({t for w in self.factors for t in w.kinks(E)}))
+
+    def log_factors(self, E):
+        lead, terms = 1.0, ()
+        for w in self.factors:
+            part = w.log_factors(E)
+            if part is None:
+                return None
+            lead, terms = lead * part[0], terms + part[1]
+        return (lead, terms)
 
     def tail_lower_qualified(self, E):
         return all(w.tail_lower_qualified(E) for w in self.factors)

@@ -87,3 +87,57 @@ def t_monic_chebyshev(n):
 def t_residual_interval(n, x_star):
     """Minimal norm for unit weight on [-1, 1], P(x_star) = 1, |x_star| > 1."""
     return 1.0 / math.cosh(n * math.acosh(abs(x_star)))
+
+
+def equilibrium_q(bands):
+    """Monic Q of the equilibrium density |Q|/(pi sqrt|R|), from vanishing gap
+    periods of Q/sqrt(R) computed with QAWS."""
+    ends = [e for ab in bands for e in ab]
+    p = len(bands)
+    A = np.zeros((p - 1, p))
+    for k in range(p - 1):
+        lo, hi = bands[k][1], bands[k + 1][0]
+        others = np.array([e for e in ends if e not in (lo, hi)])
+        for i in range(p):
+            A[k, i] = quad_band_sqrt(lambda t: t**i / math.sqrt(np.prod(np.abs(t - others))), lo, hi)
+    q = np.linalg.solve(A[:, :-1], -A[:, -1]) if p > 1 else np.zeros(0)
+    return np.append(q, 1.0)
+
+
+def harmonic_log_integral(bands, log_w, x_star=math.inf, singular=()):
+    """int log_w d omega(., x*) over the bands, by QUADPACK in theta
+    (t = m - r cos theta) with the points `singular` as breakpoints.
+
+    log_w(t, off) gets, besides t, the differences off = {a: t - a, b: t - b}
+    to the ends of t's band in closed form, 2r sin^2 and -2r cos^2 of
+    theta/2, so that weights vanishing at a band end stay accurate there.
+
+    For finite x* the measure is carried over from the equilibrium measure of
+    the image set under s = 1/(t - x*).  Each band's own endpoint factors
+    cancel against dt/dtheta = r sin(theta) in closed form.
+    """
+    finite = not math.isinf(x_star)
+    image = (lambda t: 1.0 / (t - x_star)) if finite else (lambda t: t)
+    img = sorted(tuple(sorted((image(a), image(b)))) for a, b in bands)
+    q = equilibrium_q(img)
+    img_ends = [e for ab in img for e in ab]
+
+    total = 0.0
+    for a, b in bands:
+        m, r = 0.5 * (a + b), 0.5 * (b - a)
+        others = np.array([e for e in img_ends if e not in (image(a), image(b))])
+        scale = math.sqrt(abs(a - x_star) * abs(b - x_star)) if finite else 1.0
+
+        def integrand(th):
+            t = m - r * math.cos(th)
+            s = image(t)
+            dens = abs(np.polynomial.polynomial.polyval(s, q)) / (math.pi * math.sqrt(np.prod(np.abs(s - others))))
+            if finite:
+                dens *= scale / abs(t - x_star)
+            off = {a: 2 * r * math.sin(0.5 * th) ** 2, b: -2 * r * math.cos(0.5 * th) ** 2}
+            return log_w(t, off) * dens
+
+        pts = sorted(math.acos((m - c) / r) for c in singular if a < c < b)
+        val, _ = integrate.quad(integrand, 0.0, math.pi, points=pts or None, limit=400, epsabs=1e-14, epsrel=1e-13)
+        total += val
+    return total

@@ -163,3 +163,64 @@ def test_dumps_sorted_keys_and_types():
     assert s.index('"a"') < s.index('"b"')
     parsed = json.loads(s)
     assert parsed == {"a": "x", "b": [1, 2.5, None, True]}
+
+
+@pytest.mark.parametrize("tol", [-1, 0, 1, 2.5])
+def test_tol_out_of_range_is_input_error(tmp_path, capsys, tol):
+    doc = {"bands": [[-1, 1]], "n": 3, "options": {"tol": tol}}
+    code, out = run_cli(tmp_path, "solve", doc)
+    assert code == 2
+    assert "/options/tol" in capsys.readouterr().err
+    assert not (out / "solve.json").exists()
+
+
+def test_tol_flag_out_of_range_is_input_error(tmp_path, capsys):
+    doc = {"bands": [[-1, 1]], "n": 3}
+    code, _ = run_cli(tmp_path, "solve", doc, "--tol", "-1")
+    assert code == 2
+    assert "/options/tol" in capsys.readouterr().err
+
+
+def _solved(tmp_path):
+    doc = {"bands": [[-1, 1]], "weight": {"kind": "unit"}, "x_star": "inf", "n": 3}
+    code, out = run_cli(tmp_path, "solve__s", doc)
+    assert code == 0
+    return json.loads((out / "solve.json").read_text())
+
+
+@pytest.mark.parametrize("field", ["t", "n", "x_star", "cheb_coeffs", "signs", "defect"])
+def test_embedded_solution_missing_field(tmp_path, capsys, field):
+    solved = _solved(tmp_path)
+    del solved["solution"][field]
+    code, _ = run_cli(tmp_path, "bounds", solved)
+    assert code == 2
+    assert f"/solution/{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("t", "small", "/solution/t"),
+        ("t", -0.25, "/solution/t"),
+        ("half", 0, "/solution/half"),
+        ("x_star", "nan", "/solution/x_star"),
+        ("n", 0, "/solution/n"),
+        ("alternation", [0.5, "x"], "/solution/alternation/1"),
+        ("signs", [1, 0, 1, -1], "/solution/signs/1"),
+        ("cheb_coeffs", 3.0, "/solution/cheb_coeffs"),
+    ],
+)
+def test_embedded_solution_malformed_field(tmp_path, capsys, field, value, path):
+    solved = _solved(tmp_path)
+    solved["solution"][field] = value
+    code, _ = run_cli(tmp_path, "widom", solved)
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
+def test_embedded_solution_not_an_object(tmp_path, capsys):
+    solved = _solved(tmp_path)
+    solved["solution"] = [1, 2]
+    code, _ = run_cli(tmp_path, "enset", solved)
+    assert code == 2
+    assert "/solution" in capsys.readouterr().err

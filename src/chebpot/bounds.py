@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .ensets import compute_n0
 from .extremal import ExtremalPoly, RemezOptions, solve_extremal
-from .potential import equilibrium, green, szego_factor, szego_integral
+from .potential import equilibrium, green, szego_integral
 from .realset import FiniteGapSet
 from .weights import Weight
 
@@ -106,24 +106,29 @@ class DichotomyReport:
     tail_strictly_decreasing: bool
 
 
-def widom_factor(
-    E: FiniteGapSet, sol: ExtremalPoly, eq=None, gev=None
-) -> float:
+def widom_factor(E: FiniteGapSet, sol: ExtremalPoly) -> float:
     """Normalized minimal norm t_n / cap^n, or t_n e^{n g(x*,inf)}."""
     if math.isinf(sol.x_star):
-        eq = eq or equilibrium(E)
-        return sol.t / eq.capacity**sol.n
-    gev = gev or green(E, math.inf)
-    return sol.t * math.exp(sol.n * gev(sol.x_star))
+        return sol.t / equilibrium(E).capacity ** sol.n
+    return sol.t * math.exp(sol.n * green(E, math.inf)(sol.x_star))
 
 
-def _shared_context(E, w, x_star, opts):
-    S = szego_factor(E, w, x_star)
+def _reports(E, w, x_star, ns, opts, sol=None):
+    """The Szego integral and one WidomReport per degree in ns, each solved
+    (or taken from `sol`) against the context shared by all degrees."""
+    if not ns:
+        raise ValueError("n_range is empty")
+    integ = szego_integral(E, w, x_star)
+    S = integ.factor
     pw = green(E, x_star).pw_sum
     g_star = math.inf if math.isinf(x_star) else green(E, math.inf)(x_star)
     rd = w.recip_data()
     n0 = compute_n0(E, w, x_star, opts) if rd is not None else None
-    return S, pw, g_star, rd, n0
+    rows = []
+    for n in ns:
+        s = sol or solve_extremal(E, w, x_star, n, opts)
+        rows.append(_make_report(E, w, x_star, n, s, S, pw, g_star, rd, n0))
+    return integ, rows
 
 
 def _make_report(E, w, x_star, n, sol, S, pw, g_star, rd, n0) -> WidomReport:
@@ -180,9 +185,7 @@ def bound_report(
     opts: RemezOptions | None = None,
 ) -> WidomReport:
     """Evaluate every applicable bound at one degree."""
-    S, pw, g_star, rd, n0 = _shared_context(E, w, x_star, opts)
-    sol = sol or solve_extremal(E, w, x_star, n, opts)
-    return _make_report(E, w, x_star, n, sol, S, pw, g_star, rd, n0)
+    return _reports(E, w, x_star, [n], opts, sol)[1][0]
 
 
 def sweep(
@@ -194,13 +197,8 @@ def sweep(
 ) -> SweepResult:
     """Per-degree reports plus tail-window statistics for the asymptotics."""
     ns = sorted(set(int(n) for n in n_range))
-    if not ns:
-        raise ValueError("n_range is empty")
-    S, pw, g_star, rd, n0 = _shared_context(E, w, x_star, opts)
-    rows = []
-    for n in ns:
-        sol = solve_extremal(E, w, x_star, n, opts)
-        rows.append(_make_report(E, w, x_star, n, sol, S, pw, g_star, rd, n0))
+    rows = _reports(E, w, x_star, ns, opts)[1]
+    S, pw = rows[0].S, rows[0].pw
     tail_start = ns[max(0, len(ns) - max(1, len(ns) // 3))]
     tail = [r for r in rows if r.n >= tail_start]
     tail_min = min(r.W for r in tail)
@@ -234,14 +232,10 @@ def szego_dichotomy_report(
     [S, 2 S e^PW (1 + 1e-6)]; with a divergent integral no bound is
     asserted and only the observed decay of the tail is reported.
     """
-    integ = szego_integral(E, w, x_star)
-    S = 0.0 if integ.divergent else math.exp(integ.value)
-    pw = green(E, x_star).pw_sum
     ns = list(range(n_min, n_max + 1))
-    widom = []
-    for n in ns:
-        sol = solve_extremal(E, w, x_star, n, opts)
-        widom.append(widom_factor(E, sol))
+    integ, rows = _reports(E, w, x_star, ns, opts)
+    S, pw = rows[0].S, rows[0].pw
+    widom = [r.W for r in rows]
     min_W, max_W = min(widom), max(widom)
     bounds_ok = None
     if not integ.divergent:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -224,28 +225,15 @@ def parse_options(doc, args) -> RemezOptions:
     return RemezOptions(tol=tol, grid=grid)
 
 
-def _x_star_json(x: float):
-    return "inf" if math.isinf(x) and x > 0 else ("-inf" if math.isinf(x) else x)
-
-
 # -- solution (de)serialization -----------------------------------------------
 
 
 def solution_to_json(sol: ExtremalPoly) -> dict:
-    return {
-        "n": sol.n,
-        "x_star": _x_star_json(sol.x_star),
-        "degree": sol.degree,
-        "t": sol.t,
-        "center": sol.center,
-        "half": sol.half,
-        "cheb_coeffs": list(sol.cheb_coeffs),
-        "coefficients": [float(c) for c in sol.coefficients()],
-        "alternation": list(sol.alternation),
-        "signs": list(sol.signs),
-        "k_star": sol.k_star,
-        "defect": sol.defect,
-    }
+    """The solution's fields except the set, plus its monomial coefficients."""
+    out = asdict(sol)
+    del out["E"]
+    out["coefficients"] = [float(c) for c in sol.coefficients()]
+    return out
 
 
 def _finite_at(v, path):
@@ -326,27 +314,6 @@ def _widom_row(r) -> list:
 _SWEEP_HEADER = ["n", "t_n", "W_n", "S", "sharp_lb", "ub", "pass_lb", "pass_ub"]
 
 
-def _report_json(r) -> dict:
-    return {
-        "n": r.n,
-        "t": r.t,
-        "W": r.W,
-        "S": r.S,
-        "szego_lb": r.szego_lb,
-        "sharp_lb": r.sharp_lb,
-        "ub": r.ub,
-        "lb2": r.lb2,
-        "ub2": r.ub2,
-        "pw": r.pw,
-        "g_star": r.g_star,
-        "pass_szego_lb": r.pass_szego_lb,
-        "pass_sharp_lb": r.pass_sharp_lb,
-        "pass_ub": r.pass_ub,
-        "pass_lb2": r.pass_lb2,
-        "pass_ub2": r.pass_ub2,
-    }
-
-
 def run_potential(doc, args):
     E = parse_bands(doc)
     x_star = parse_x_star(doc)
@@ -405,7 +372,7 @@ def run_widom(doc, args):
     W = bounds_mod.widom_factor(E, sol)
     payload = {
         "n": sol.n,
-        "x_star": _x_star_json(sol.x_star),
+        "x_star": sol.x_star,
         "t": sol.t,
         "W": W,
     }
@@ -415,7 +382,7 @@ def run_widom(doc, args):
 def run_bounds(doc, args):
     E, w, sol = _solution_or_solve(doc, args)
     r = bounds_mod.bound_report(E, w, sol.x_star, sol.n, sol=sol, opts=parse_options(doc, args))
-    return {"report": _report_json(r)}, (_SWEEP_HEADER, [_widom_row(r)])
+    return {"report": asdict(r)}, (_SWEEP_HEADER, [_widom_row(r)])
 
 
 def run_enset(doc, args):
@@ -452,11 +419,14 @@ def run_enset(doc, args):
     return payload, (["band", "alpha", "beta", "band_sum"], rows)
 
 
-def _default_cosh_samples(bs, count: int = 20):
+_COSH_SAMPLES = 20  # points on each side of the hull; at most twice this are checked
+
+
+def _default_cosh_samples(bs):
     lo, hi = bs.merged.hull
     span = hi - lo
     out = []
-    for k in range(1, count + 1):
+    for k in range(1, _COSH_SAMPLES + 1):
         out.append(hi + span * 0.02 * k)
         out.append(lo - span * 0.02 * k)
     for gap in bs.merged.gaps():
@@ -474,7 +444,7 @@ def _default_cosh_samples(bs, count: int = 20):
             return False
         return all(abs(z - c) > 1e-6 * max(1.0, span) for c in poles)
 
-    return sorted(set(z for z in out if usable(z)))[: 2 * count]
+    return sorted(set(z for z in out if usable(z)))[: 2 * _COSH_SAMPLES]
 
 
 def run_sweep(doc, args):
@@ -482,18 +452,8 @@ def run_sweep(doc, args):
     w = parse_weight(doc)
     x_star = parse_x_star(doc)
     sw = bounds_mod.sweep(E, w, x_star, parse_n_range(doc), parse_options(doc, args))
-    payload = {
-        "rows": [_report_json(r) for r in sw.rows],
-        "tail_ns": list(sw.tail_ns),
-        "tail_min": sw.tail_min,
-        "tail_max": sw.tail_max,
-        "lower_target": sw.lower_target,
-        "upper_target": sw.upper_target,
-        "pass_tail_lower": sw.pass_tail_lower,
-        "pass_tail_upper": sw.pass_tail_upper,
-    }
     rows = [_widom_row(r) for r in sw.rows]
-    return payload, (_SWEEP_HEADER, rows)
+    return asdict(sw), (_SWEEP_HEADER, rows)
 
 
 def run_dichotomy(doc, args):
@@ -504,20 +464,7 @@ def run_dichotomy(doc, args):
     rep = bounds_mod.szego_dichotomy_report(
         E, w, x_star, n_max=rng.stop - 1, n_min=rng.start, opts=parse_options(doc, args)
     )
-    payload = {
-        "szego_log_integral": rep.szego_log_integral,
-        "divergent": rep.divergent,
-        "S": rep.S,
-        "pw": rep.pw,
-        "ns": list(rep.ns),
-        "widom": list(rep.widom),
-        "min_W": rep.min_W,
-        "max_W": rep.max_W,
-        "bounds_ok": rep.bounds_ok,
-        "tail_strictly_decreasing": rep.tail_strictly_decreasing,
-    }
-    rows = list(zip(rep.ns, rep.widom))
-    return payload, (["n", "W_n"], rows)
+    return asdict(rep), (["n", "W_n"], list(zip(rep.ns, rep.widom)))
 
 
 _RUNNERS = {

@@ -40,13 +40,13 @@ from .realset import FiniteGapSet, sample_grid
 from .weights import Weight
 
 _DEGENERATE_LEAD = 1e-10
+_MAX_GRID = 32768  # grid refinement ceiling for sampled/callable weights
 
 
 @dataclass(frozen=True)
 class RemezOptions:
     tol: float = 1e-11  # relative equioscillation defect
     grid: int = 2048  # cosine nodes per band for candidate supply
-    max_grid: int = 32768  # refinement ceiling (sampled/callable weights)
     max_iter: int = 80
 
 
@@ -225,8 +225,9 @@ class _Workspace:
     def _grid_candidates(self, coeffs: np.ndarray):
         fg = self.f_of(coeffs, self.grid)
         af = np.abs(fg)
+        # strict on the right: a flat stretch of |f| yields at most one node
         idx = np.nonzero(
-            (af >= np.roll(af, 1)) & (af >= np.roll(af, -1)) & (af > 0)
+            (af >= np.roll(af, 1)) & (af > np.roll(af, -1)) & (af > 0)
         )[0]
         idx = idx[(idx > 0) & (idx < af.size - 1)]
         xs = self.grid[idx]
@@ -461,7 +462,7 @@ def solve_extremal(
     coeffs, window, M, defect = _run_exchange(ws)
     if ws.structural is None:
         # grid-limited extrema: refine until the norm stabilizes
-        while ws.grid_n * 2 <= opts.max_grid:
+        while ws.grid_n * 2 <= _MAX_GRID:
             ws._set_grid(ws.grid_n * 2)
             coeffs2, window2, M2, defect2 = _run_exchange(ws)
             stable = abs(M2 - M) <= 1e-10 * max(M, M2)

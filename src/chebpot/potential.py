@@ -50,6 +50,9 @@ _EDGE_ORDERS = (16, 32, 64, 128, 256)  # Gauss-Legendre orders of the edge integ
 _EDGE_DIGITS = 41.5  # ln(1e18): target for rho^(-2n) on the Bernstein ellipse
 _CHUNK = 1 << 16  # array elements per temporary in batched evaluation (~1 MB)
 _ADAPT_INTERVALS = 2000  # open intervals at which adaptive quadrature accepts what it has
+_ADAPT_EPSABS, _ADAPT_EPSREL = 1e-13, 1e-12  # adaptive quadrature tolerances
+_ORDER, _MAX_ORDER = 256, 2048  # first and last Fejer order of the equilibrium rule
+_MASS_ORDER = 160  # Gauss-Legendre order of the theta-band mass integral
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +78,7 @@ def _fejer_theta(n: int):
     return np.cos(theta), 0.5 * np.pi * w
 
 
-def _adaptive(f, breaks, epsabs: float = 1e-13, epsrel: float = 1e-12) -> float:
+def _adaptive(f, breaks) -> float:
     """int f over [breaks[0], breaks[-1]] by globally adaptive bisection.
 
     f maps an array of abscissae to values.  Each interval's 11-point
@@ -101,7 +104,7 @@ def _adaptive(f, breaks, epsabs: float = 1e-13, epsrel: float = 1e-12) -> float:
         mid = 0.5 * (lo + hi)
         left, right = rule(lo, mid), rule(mid, hi)
         fine = left + right
-        tol = max(epsabs, epsrel * abs(done + fine.sum()))
+        tol = max(_ADAPT_EPSABS, _ADAPT_EPSREL * abs(done + fine.sum()))
         ok = np.abs(fine - coarse) <= tol * (hi - lo) / span
         ok |= (hi - lo <= 1e-15 * span) | (lo.size > _ADAPT_INTERVALS)
         done += fine[ok].sum()
@@ -121,7 +124,7 @@ def _sqrt_uhp(w):
 class _Core:
     """Equilibrium data of one finite-gap set, in hull-normalized coordinates."""
 
-    def __init__(self, E: FiniteGapSet, order: int = 256, max_order: int = 2048):
+    def __init__(self, E: FiniteGapSet):
         self.E = E
         lo, hi = E.hull
         self.center = 0.5 * (lo + hi)
@@ -134,13 +137,13 @@ class _Core:
         self.ends = np.array([e for ab in self.bands for e in ab])
 
         prev_logcap = None
-        n = order
+        n = _ORDER
         while True:
             self._build(n)
             ok = abs(self.mass - 1.0) < 5e-13
             if prev_logcap is not None and ok and abs(self.logcap - prev_logcap) < 5e-14:
                 break
-            if n >= max_order:
+            if n >= _MAX_ORDER:
                 if not ok:
                     raise IllConditionedError(
                         f"equilibrium mass off by {self.mass - 1.0:.3e} at order {n}"
@@ -163,30 +166,33 @@ class _Core:
             out = out * np.abs(tau - e)
         return np.sqrt(out)
 
-    def _build(self, n: int):
+    def gap_moments(self, n: int, npow: int, ch=None) -> np.ndarray:
+        """Row k, column i: int over bounded gap k of tau^i / sqrt|R(tau)|,
+        divided by |tau - ch|^2 when ch is given, by Fejer's rule of order n."""
         cos, v = _fejer_theta(n)
+        out = np.empty((self.p - 1, npow))
+        for k in range(self.p - 1):
+            glo, ghi = self.bands[k][1], self.bands[k + 1][0]
+            m, r = 0.5 * (glo + ghi), 0.5 * (ghi - glo)
+            tau = m - r * cos
+            s = self._sqrt_excl(tau, skip=(2 * k + 1, 2 * k + 2))
+            base = v / (s if ch is None else np.abs(tau - ch) ** 2 * s)
+            pw = np.ones_like(tau)
+            for i in range(npow):
+                out[k, i] = np.dot(base, pw)
+                pw = pw * tau
+        return out
 
+    def _build(self, n: int):
         # period conditions fix the p-1 free coefficients of monic Q
         if self.p == 1:
             self.qh = np.array([1.0])
         else:
-            A = np.empty((self.p - 1, self.p - 1))
-            rhs = np.empty(self.p - 1)
-            for k in range(self.p - 1):
-                glo, ghi = self.bands[k][1], self.bands[k + 1][0]
-                m, r = 0.5 * (glo + ghi), 0.5 * (ghi - glo)
-                tau = m - r * cos
-                base = v / self._sqrt_excl(tau, skip=(2 * k + 1, 2 * k + 2))
-                pw = np.ones_like(tau)
-                for i in range(self.p - 1):
-                    A[k, i] = np.dot(base, pw)
-                    pw = pw * tau
-                rhs[k] = -np.dot(base, pw)
-            if np.linalg.cond(A) > 1e13:
-                raise IllConditionedError("gap period system is numerically singular")
-            self.qh = np.append(np.linalg.solve(A, rhs), 1.0)
+            mom = self.gap_moments(n, self.p)
+            self.qh = np.append(_solve(mom[:, :-1], -mom[:, -1], "gap period"), 1.0)
 
         # per-band equilibrium quadrature rule
+        cos, v = _fejer_theta(n)
         nodes, weights = [], []
         self._band_slices = []
         pos = 0
@@ -195,7 +201,7 @@ class _Core:
             tau = m - r * cos
             s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
             nodes.append(tau)
-            weights.append(v * np.abs(P.polyval(tau, self.qh)) / (np.pi * s))
+            weights.append(v * self.q_abs(tau) / (np.pi * s))
             self._band_slices.append((pos, pos + n))
             pos += n
         self.nodes = np.concatenate(nodes)
@@ -317,12 +323,17 @@ class _Core:
         ratio = ((a - x) + (b - x)) / (b - a)
         return math.acos(min(1.0, max(-1.0, ratio)))
 
-    def mass_hat(self, lo: float, hi: float, order: int = 160) -> float:
-        """Equilibrium mass of [lo, hi] (normalized coordinates)."""
+    def q_abs(self, tau):
+        return np.abs(P.polyval(tau, self.qh))
+
+    def mass_hat(self, lo: float, hi: float, numer=None) -> float:
+        """int over [lo, hi] of numer / (pi sqrt|R|) in normalized coordinates,
+        in theta per band; the default numer |Q| gives the equilibrium mass."""
         if hi <= lo:
             return 0.0
+        numer = numer or self.q_abs
         total = 0.0
-        u, w = _gauss01(order)
+        u, w = _gauss01(_MASS_ORDER)
         for j, (a, b) in enumerate(self.bands):
             c, d = max(lo, a), min(hi, b)
             if d <= c:
@@ -332,19 +343,15 @@ class _Core:
             th2 = self._theta_of(a, b, d)
             tau = m - r * np.cos(th1 + (th2 - th1) * u)
             s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-            total += (th2 - th1) * float(
-                np.dot(w, np.abs(P.polyval(tau, self.qh)) / (np.pi * s))
-            )
+            total += (th2 - th1) * float(np.dot(w, numer(tau) / (np.pi * s)))
         return total
 
-    def density_hat(self, tau):
-        """Equilibrium density in normalized coordinates (inf at band edges)."""
+    def density_hat(self, tau, numer=None):
+        """numer / (pi sqrt|R|) in normalized coordinates (inf at band edges);
+        the default numer |Q| gives the equilibrium density."""
         tau = np.asarray(tau, dtype=float)
-        r = np.ones_like(tau)
-        for e in self.ends:
-            r = r * np.abs(tau - e)
         with np.errstate(divide="ignore"):
-            return np.abs(P.polyval(tau, self.qh)) / (np.pi * np.sqrt(r))
+            return (numer or self.q_abs)(tau) / (np.pi * self._sqrt_excl(tau))
 
     # -- coordinate helpers --------------------------------------------------
 
@@ -360,6 +367,15 @@ def _core(E: FiniteGapSet) -> _Core:
     return _Core(E)
 
 
+def _core_at(E: FiniteGapSet, x0: float) -> _Core:
+    """Core of E for a pole or base at infinity, else of E inverted about x0.
+
+    Result objects look their core up here on every use instead of holding
+    it, so the _core cache alone bounds how many quadrature rules stay alive.
+    """
+    return _core(E) if math.isinf(x0) else _core(_inverted_set(E, x0))
+
+
 @lru_cache(maxsize=128)
 def _inverted_set(E: FiniteGapSet, x0: float) -> FiniteGapSet:
     """Image of E under t -> 1/(t - x0); again a finite union of intervals."""
@@ -372,6 +388,12 @@ def _inverted_set(E: FiniteGapSet, x0: float) -> FiniteGapSet:
     return make_set(ivals, merge_tol=0.0)
 
 
+def _solve(A, rhs, what: str) -> np.ndarray:
+    if np.linalg.cond(A) > 1e13:
+        raise IllConditionedError(f"{what} system is numerically singular")
+    return np.linalg.solve(A, rhs)
+
+
 # -- equilibrium ------------------------------------------------------------
 
 
@@ -381,8 +403,8 @@ class EquilibriumData:
 
     Q holds monomial coefficients (low to high) of the monic degree-(p-1)
     polynomial in the original variable; robin = -log capacity.  The object
-    holds no quadrature rule, so results that keep it stay small; density and
-    mass use the set's cached core.
+    holds no quadrature rule, so results that keep it stay small; density
+    uses the set's cached core.
     """
 
     E: FiniteGapSet
@@ -394,10 +416,6 @@ class EquilibriumData:
     def density(self, t):
         core = _core(self.E)
         return core.density_hat(core.to_hat(np.asarray(t, dtype=float))) / core.half
-
-    def mass(self, lo: float, hi: float) -> float:
-        core = _core(self.E)
-        return core.mass_hat(core.to_hat(lo), core.to_hat(hi))
 
     def band_masses(self) -> np.ndarray:
         return np.array(self._band_masses)
@@ -438,7 +456,6 @@ class GreenEvaluator:
     pole: float
     critical_points: tuple[CriticalPoint, ...]
     pw_sum: float
-    _core: _Core = field(repr=False, compare=False)
 
     def __call__(self, z):
         """g at a point (returns a float) or elementwise over an array.
@@ -448,18 +465,18 @@ class GreenEvaluator:
         """
         arr = np.asarray(z)
         flat = arr.ravel()
+        core = _core_at(self.E, self.pole)
         if np.iscomplexobj(flat):
             real = flat.imag == 0
             out = np.empty(flat.shape)
-            out[real] = self._eval(flat.real[real])
-            out[~real] = self._eval(flat[~real])
+            out[real] = self._eval(core, flat.real[real])
+            out[~real] = self._eval(core, flat[~real])
         else:
-            out = self._eval(flat.astype(float))
+            out = self._eval(core, flat.astype(float))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def _eval(self, pts):
+    def _eval(self, core, pts):
         """g at a 1-d array of points, all real or all off the real axis."""
-        core = self._core
         infinite = np.isinf(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             if math.isinf(self.pole):
@@ -476,36 +493,59 @@ class GreenEvaluator:
 
 @lru_cache(maxsize=128)
 def green(E: FiniteGapSet, pole: float = math.inf) -> GreenEvaluator:
-    """Green function with pole at infinity or at a finite real point off E."""
+    """Green function with pole at infinity or at a finite real point off E.
+
+    This is the only Green path: complex points go through the same edge
+    integral, and a complex pole is handled by symmetry in green_cross.
+    """
     pole = float(pole)
     if math.isnan(pole):
         raise ValueError("pole must be a real number or +-inf")
-    if math.isinf(pole):
-        core = _core(E)
-        crits = []
-        for k, zhat, gval in core._criticals_hat:
-            crits.append(CriticalPoint(E.gaps()[k], core.from_hat(zhat), gval))
-        return GreenEvaluator(E, pole, tuple(crits), sum(c.value for c in crits), core)
-    if E.contains(pole):
+    if not math.isinf(pole) and E.contains(pole):
         raise PoleOnSetError(f"pole {pole} lies on the set")
-    Einv = _inverted_set(E, pole)
-    core = _core(Einv)
+    core = _core_at(E, pole)
     crits = []
-    for _, zhat, gval in core._criticals_hat:
-        s = core.from_hat(zhat)
-        loc = math.inf if abs(s) < 1e-14 / max(E.diameter, 1.0) else pole + 1.0 / s
-        crits.append(CriticalPoint(E.locate(loc), loc, gval))
-    return GreenEvaluator(E, pole, tuple(crits), sum(c.value for c in crits), core)
+    for k, zhat, gval in core._criticals_hat:
+        if math.isinf(pole):
+            gap, loc = E.gaps()[k], core.from_hat(zhat)
+        else:
+            s = core.from_hat(zhat)
+            loc = math.inf if abs(s) < 1e-14 / max(E.diameter, 1.0) else pole + 1.0 / s
+            gap = E.locate(loc)
+        crits.append(CriticalPoint(gap, loc, gval))
+    return GreenEvaluator(E, pole, tuple(crits), sum(c.value for c in crits))
 
 
-def critical_points(gev: GreenEvaluator):
-    """(gap, location, value) triples, one per gap not containing the pole."""
-    return [(c.gap, c.location, c.value) for c in gev.critical_points]
+def _split_point(z):
+    """Return (value, kind) with kind in {'inf', 'real', 'complex'}."""
+    if isinstance(z, complex) and z.imag != 0.0:
+        if math.isnan(z.imag) or math.isnan(z.real):
+            raise ValueError("nan argument")
+        return z, "complex"
+    x = z.real if isinstance(z, complex) else float(z)
+    if math.isnan(x):
+        raise ValueError("nan argument")
+    if math.isinf(x):
+        return math.inf, "inf"
+    return x, "real"
 
 
-def pw_sum(gev: GreenEvaluator) -> float:
-    """Parreau-Widom sum: total Green value over the critical points."""
-    return gev.pw_sum
+def green_cross(E: FiniteGapSet, z, pole) -> float:
+    """g_E(z, pole) for mixed real/complex arguments, at least one of them real
+    or infinite; a complex pole is evaluated by symmetry, g(z, c) = g(c, z)."""
+    zv, zk = _split_point(z)
+    pv, pk = _split_point(pole)
+    if zk == "complex" and pk == "complex":
+        raise BothComplexError("at least one of z, pole must be real or infinite")
+    if pk != "complex" and E.contains(pv):
+        raise PoleOnSetError(f"pole {pv} lies on the set")
+    if zk != "complex" and E.contains(zv):
+        return 0.0
+    if zv == pv:
+        return math.inf
+    if pk == "complex":
+        zv, pv = pv, zv
+    return green(E, pv)(zv)
 
 
 # -- harmonic measure --------------------------------------------------------
@@ -517,7 +557,6 @@ class HarmonicMeasure:
 
     E: FiniteGapSet
     base: float
-    _core: _Core = field(repr=False, compare=False)
 
     @property
     def _finite(self) -> bool:
@@ -525,14 +564,12 @@ class HarmonicMeasure:
 
     def nodes_weights(self):
         """Quadrature rule on E integrating smooth f against the measure."""
-        core = self._core
-        s = core.from_hat(core.nodes)
-        t = self.base + 1.0 / s if self._finite else s
-        return t, core.weights.copy()
+        core = _core_at(self.E, self.base)
+        return self._pull(core, core.nodes), core.weights.copy()
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        core = self._core
+        core = _core_at(self.E, self.base)
         if not self._finite:
             return core.density_hat(core.to_hat(t)) / core.half
         s = 1.0 / (t - self.base)
@@ -542,7 +579,7 @@ class HarmonicMeasure:
     def mass(self, lo: float, hi: float) -> float:
         if hi < lo:
             lo, hi = hi, lo
-        core = self._core
+        core = _core_at(self.E, self.base)
         if not self._finite:
             return core.mass_hat(core.to_hat(lo), core.to_hat(hi))
         total = 0.0
@@ -555,8 +592,8 @@ class HarmonicMeasure:
             total += core.mass_hat(core.to_hat(lo_s), core.to_hat(hi_s))
         return total
 
-    def _pull(self, tau):
-        s = self._core.from_hat(tau)
+    def _pull(self, core, tau):
+        s = core.from_hat(tau)
         return self.base + 1.0 / s if self._finite else s
 
     def log_integral_once(self, w: Weight, floor: float) -> float:
@@ -565,23 +602,23 @@ class HarmonicMeasure:
 
         Only weights without a closed-form log (sampled, callable) need this.
         """
-        core = self._core
+        core = _core_at(self.E, self.base)
         sings = w.kinks(self.E)
         total = 0.0
         for j, (a, b) in enumerate(core.bands):
             m, r = 0.5 * (a + b), 0.5 * (b - a)
             # t within a few ulps of a band end rounds onto it, where a weight
             # that vanishes at the end reads 0: w is sampled strictly inside
-            lo_t, hi_t = sorted(float(self._pull(e)) for e in (a, b))
+            lo_t, hi_t = sorted(float(self._pull(core, e)) for e in (a, b))
             pad = 4.0 * np.spacing(max(abs(lo_t), abs(hi_t)))
 
             def integrand(theta):
                 tau = m - r * np.cos(theta)
-                t = np.clip(self._pull(tau), lo_t + pad, hi_t - pad)
+                t = np.clip(self._pull(core, tau), lo_t + pad, hi_t - pad)
                 with np.errstate(divide="ignore"):
                     lw = np.maximum(np.log(np.asarray(w(t), dtype=float)), -floor)
                 s = core._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-                return lw * np.abs(P.polyval(tau, core.qh)) / (np.pi * s)
+                return lw * core.q_abs(tau) / (np.pi * s)
 
             points = []
             for ts in sings:
@@ -604,62 +641,10 @@ def harmonic_measure(E: FiniteGapSet, base: float = math.inf) -> HarmonicMeasure
     base = float(base)
     if math.isnan(base):
         raise ValueError("base must be a real number or +-inf")
-    if math.isinf(base):
-        return HarmonicMeasure(E, base, _core(E))
-    if E.contains(base):
+    if not math.isinf(base) and E.contains(base):
         raise PoleOnSetError(f"base {base} lies on the set")
-    return HarmonicMeasure(E, base, _core(_inverted_set(E, base)))
-
-
-# -- pole-shift identity ------------------------------------------------------
-
-
-def _split_point(z):
-    """Return (value, kind) with kind in {'inf', 'real', 'complex'}."""
-    if isinstance(z, complex) and z.imag != 0.0:
-        if math.isnan(z.imag) or math.isnan(z.real):
-            raise ValueError("nan argument")
-        return z, "complex"
-    x = z.real if isinstance(z, complex) else float(z)
-    if math.isnan(x):
-        raise ValueError("nan argument")
-    if math.isinf(x):
-        return math.inf, "inf"
-    return x, "real"
-
-
-def green_cross(E: FiniteGapSet, z, pole) -> float:
-    """g_E(z, pole) for mixed real/complex arguments via the pole-shift identity
-
-        g_E(z, x0) = g_E(z, inf) - log|z - x0| + int log|zeta - x0| d omega_E(zeta, z),
-
-    with the harmonic measure based at whichever of the two points is real.
-    At least one of z, pole must be real or infinite.
-    """
-    zv, zk = _split_point(z)
-    pv, pk = _split_point(pole)
-    if zk == "complex" and pk == "complex":
-        raise BothComplexError("at least one of z, pole must be real or infinite")
-    if pk != "complex" and E.contains(pv):
-        raise PoleOnSetError(f"pole {pv} lies on the set")
-    if zk != "complex" and E.contains(zv):
-        return 0.0
-    if zv == pv:
-        return math.inf
-
-    if pk == "inf":
-        return green(E, math.inf)(zv)
-    if zk == "complex":
-        # symmetry: evaluate g(., z) at the real point `pole`
-        return green_cross(E, pv, zv)
-    if zk == "inf":
-        # g(inf, pole) = g(pole, inf), also for a complex pole
-        return green(E, math.inf)(pv)
-
-    meas = harmonic_measure(E, zv)
-    t, w = meas.nodes_weights()
-    integral = float(np.dot(w, np.log(np.abs(t - pv))))
-    return green(E, math.inf)(zv) - math.log(abs(zv - pv)) + integral
+    _core_at(E, base)  # build the core now, so that errors surface here
+    return HarmonicMeasure(E, base)
 
 
 # -- Szego factors ------------------------------------------------------------
@@ -677,6 +662,13 @@ class SzegoIntegral:
     value: float
     divergent: bool
     floor_values: tuple[float, ...]
+
+    @property
+    def factor(self) -> float:
+        """exp(value); zero when the integral diverges."""
+        if self.divergent:
+            return 0.0
+        return math.exp(self.value) if self.value > -745.0 else 0.0
 
 
 def _log_moment(E: FiniteGapSet, c: complex, x_star: float) -> float:
@@ -733,10 +725,7 @@ def _szego_quadrature(E: FiniteGapSet, w: Weight, x_star: float) -> SzegoIntegra
 
 def szego_factor(E: FiniteGapSet, w: Weight, x_star: float = math.inf) -> float:
     """exp(int log w d omega_E(., x_star)); zero when the integral diverges."""
-    res = szego_integral(E, w, x_star)
-    if res.divergent:
-        return 0.0
-    return math.exp(res.value) if res.value > -745.0 else 0.0
+    return szego_integral(E, w, x_star).factor
 
 
 def szego_recip_poly(E: FiniteGapSet, zeros, x_star: float = math.inf, lead: float = 1.0) -> float:
@@ -766,46 +755,24 @@ class PairMeasure:
 
     E: FiniteGapSet
     base: complex
-    _core: _Core = field(repr=False, compare=False)
-    _M: tuple[float, ...] = ()
+    _M: tuple[float, ...]
 
-    def _density_hat(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        core = self._core
-        ch = complex((self.base - core.center) / core.half)
-        r = np.ones_like(tau)
-        for e in core.ends:
-            r = r * np.abs(tau - e)
-        with np.errstate(divide="ignore"):
-            return np.abs(P.polyval(tau, np.asarray(self._M))) / (
-                np.pi * np.abs(tau - ch) ** 2 * np.sqrt(r)
-            )
-
-    def density(self, t):
-        core = self._core
-        return self._density_hat(core.to_hat(np.asarray(t, dtype=float))) / core.half
-
-    def mass(self, lo: float, hi: float, order: int = 200) -> float:
-        if hi < lo:
-            lo, hi = hi, lo
-        core = self._core
+    def _numer(self, core: _Core):
+        """|M(tau)| / |tau - c|^2 in normalized coordinates."""
         ch = complex((self.base - core.center) / core.half)
         M = np.asarray(self._M)
-        lo, hi = core.to_hat(lo), core.to_hat(hi)
-        u, w = _gauss01(order)
-        total = 0.0
-        for j, (a, b) in enumerate(core.bands):
-            c, d = max(lo, a), min(hi, b)
-            if d <= c:
-                continue
-            m, r = 0.5 * (a + b), 0.5 * (b - a)
-            th1 = core._theta_of(a, b, c)
-            th2 = core._theta_of(a, b, d)
-            tau = m - r * np.cos(th1 + (th2 - th1) * u)
-            s = core._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-            f = np.abs(P.polyval(tau, M)) / (np.pi * np.abs(tau - ch) ** 2 * s)
-            total += (th2 - th1) * float(np.dot(w, f))
-        return total
+        return lambda tau: np.abs(P.polyval(tau, M)) / np.abs(tau - ch) ** 2
+
+    def density(self, t):
+        core = _core(self.E)
+        tau = core.to_hat(np.asarray(t, dtype=float))
+        return core.density_hat(tau, self._numer(core)) / core.half
+
+    def mass(self, lo: float, hi: float) -> float:
+        if hi < lo:
+            lo, hi = hi, lo
+        core = _core(self.E)
+        return core.mass_hat(core.to_hat(lo), core.to_hat(hi), self._numer(core))
 
     def total(self) -> float:
         lo, hi = self.E.hull
@@ -828,34 +795,18 @@ def conjugate_pair_measure(E: FiniteGapSet, base: complex) -> PairMeasure:
         raise ValueError("base must be non-real; use harmonic_measure for real bases")
     core = _core(E)
     ch = (base - core.center) / core.half
-    p = core.p
+    powers = [ch**i for i in range(core.p + 1)]
 
     # M of degree p: residue condition at the base pair + gap period conditions
-    A = np.zeros((p + 1, p + 1))
-    rhs = np.zeros(p + 1)
-    pw = np.ones(1, dtype=complex)
-    powers = [ch**i for i in range(p + 1)]
-    A[0, :] = [x.real for x in powers]
-    A[1, :] = [x.imag for x in powers]
     target = -(ch - ch.conjugate()) * _sqrt_R_branch(core, ch)
+    A = np.vstack(
+        [[x.real for x in powers], [x.imag for x in powers], core.gap_moments(core.order, core.p + 1, ch)]
+    )
+    rhs = np.zeros(core.p + 1)
     rhs[0], rhs[1] = target.real, target.imag
+    M = _solve(A, rhs, "pair-measure")
 
-    cos, v = _fejer_theta(max(256, core.order))
-    for k in range(p - 1):
-        glo, ghi = core.bands[k][1], core.bands[k + 1][0]
-        m, r = 0.5 * (glo + ghi), 0.5 * (ghi - glo)
-        tau = m - r * cos
-        s = core._sqrt_excl(tau, skip=(2 * k + 1, 2 * k + 2))
-        base_w = v / (np.abs(tau - ch) ** 2 * s)
-        pw = np.ones_like(tau)
-        for i in range(p + 1):
-            A[2 + k, i] = np.dot(base_w, pw)
-            pw = pw * tau
-    if np.linalg.cond(A) > 1e13:
-        raise IllConditionedError("pair-measure system is numerically singular")
-    M = np.linalg.solve(A, rhs)
-
-    meas = PairMeasure(E, base, core, tuple(float(x) for x in M))
+    meas = PairMeasure(E, base, tuple(float(x) for x in M))
     if abs(meas.total() - 2.0) > 1e-8:
         raise IllConditionedError(
             f"pair measure mass {meas.total():.12f} deviates from 2"

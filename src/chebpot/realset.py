@@ -145,10 +145,6 @@ def make_set(intervals, merge_tol: float | None = None) -> FiniteGapSet:
     return FiniteGapSet(tuple((a, b) for a, b in merged))
 
 
-def gaps(E: FiniteGapSet) -> tuple[Gap, ...]:
-    return E.gaps()
-
-
 def sample_grid(E: FiniteGapSet, points_per_band: int) -> np.ndarray:
     """Cosine-clustered nodes per band, endpoints included, globally sorted.
 

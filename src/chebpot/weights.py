@@ -69,9 +69,6 @@ class Weight:
             raise ValueError("scale must be positive")
         return ProductWeight((AbsPolyWeight([lam]), self))
 
-    def to_dict(self):
-        return {"kind": self.kind}
-
 
 class UnitWeight(Weight):
     kind = "unit"
@@ -136,9 +133,6 @@ class AbsPolyWeight(Weight):
             raise ValueError("scale must be positive")
         return AbsPolyWeight(self.coeffs * lam)
 
-    def to_dict(self):
-        return {"kind": self.kind, "coeffs": list(self.coeffs)}
-
 
 class RecipPolyWeight(Weight):
     """w(x) = 1/|P_m(x)| for a real polynomial P_m with zeros off the set."""
@@ -184,9 +178,6 @@ class RecipPolyWeight(Weight):
             raise ValueError("scale must be positive")
         return RecipPolyWeight(self.coeffs / lam)
 
-    def to_dict(self):
-        return {"kind": self.kind, "coeffs": list(self.coeffs)}
-
 
 class SemicircleWeight(Weight):
     """w(x) = prod_j sqrt((b_j - x)(x - a_j)), one factor per pair."""
@@ -226,9 +217,6 @@ class SemicircleWeight(Weight):
         # eps*(x-a)(b-x) is a polynomial minorant of each factor on [a, b]
         return True
 
-    def to_dict(self):
-        return {"kind": self.kind, "pairs": [list(p) for p in self.pairs]}
-
 
 class SampledWeight(Weight):
     """Piecewise-linear interpolant of sampled values, clipped at zero."""
@@ -258,9 +246,6 @@ class SampledWeight(Weight):
     def tail_lower_qualified(self, E):
         return bool(np.all(self.values > 0))
 
-    def to_dict(self):
-        return {"kind": self.kind, "grid": list(self.grid), "values": list(self.values)}
-
 
 class CallableWeight(Weight):
     """Arbitrary nonnegative callable; used for weights outside the structured
@@ -283,9 +268,6 @@ class CallableWeight(Weight):
 
     def tail_lower_qualified(self, E):
         return self.qualified
-
-    def to_dict(self):
-        return {"kind": self.kind, "label": self.label}
 
 
 class ProductWeight(Weight):
@@ -332,9 +314,6 @@ class ProductWeight(Weight):
 
     def tail_lower_qualified(self, E):
         return all(w.tail_lower_qualified(E) for w in self.factors)
-
-    def to_dict(self):
-        return {"kind": self.kind, "factors": [w.to_dict() for w in self.factors]}
 
 
 def exp_inv_abs_weight(center: float, scale: float = 1.0) -> CallableWeight:

@@ -141,3 +141,18 @@ def harmonic_log_integral(bands, log_w, x_star=math.inf, singular=()):
         val, _ = integrate.quad(integrand, 0.0, math.pi, points=pts or None, limit=400, epsabs=1e-14, epsrel=1e-13)
         total += val
     return total
+
+
+def pole_shift_green(E, z, x0):
+    """g_E(z, x0) at real z, x0 off E by the pole-shift identity
+
+        g_E(z, x0) = g_E(z, inf) - log|z - x0| + int log|t - x0| d omega_E(t, z),
+
+    integrated with the nodes and weights of the harmonic measure based at z.
+    The library evaluates g_E(., x0) on E inverted about x0, so this route
+    through E inverted about z checks it independently.
+    """
+    from chebpot.potential import green, harmonic_measure
+
+    t, w = harmonic_measure(E, z).nodes_weights()
+    return green(E)(z) - math.log(abs(z - x0)) + float(np.dot(w, np.log(np.abs(t - x0))))

@@ -20,8 +20,6 @@ from chebpot.extremal import solve_extremal
 from chebpot.potential import (
     equilibrium,
     green,
-    green_cross,
-    pw_sum,
     szego_factor,
     szego_integral,
     szego_recip_poly,
@@ -34,6 +32,7 @@ from chebpot.weights import (
     UnitWeight,
     exp_inv_abs_weight,
 )
+from oracles import pole_shift_green
 
 E1 = make_set([(-1, 1)])
 E06 = make_set([(-1, -0.6), (0.6, 1)])
@@ -113,7 +112,7 @@ def test_criterion_4_semicircle_weight():
 
 def test_criterion_5_two_interval_potential_theory():
     cap_err = abs(equilibrium(E06).capacity - 0.4)
-    pw_err = abs(pw_sum(green(E06)) - LOG2)
+    pw_err = abs(green(E06).pw_sum - LOG2)
     Ws = [widom_factor(E06, solved(E06, UNIT, "unit", math.inf, n)) for n in range(1, 31)]
     in_range = min(Ws) >= 2 - 1e-6 and max(Ws) <= 4 + 1e-6
     ok = cap_err < 1e-8 and pw_err < 1e-8 and in_range
@@ -183,7 +182,7 @@ def test_criterion_7_green_function_properties():
             count += 1
             direct = green(E, x0)(z)
             worst_sym = max(worst_sym, abs(direct - green(E, z)(x0)))
-            worst_ident = max(worst_ident, abs(green_cross(E, z, x0) - direct))
+            worst_ident = max(worst_ident, abs(pole_shift_green(E, z, x0) - direct))
     ok = worst_zero < 1e-8 and worst_sym < 1e-7 and worst_ident < 1e-7
     report(
         7,

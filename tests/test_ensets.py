@@ -20,7 +20,7 @@ from chebpot.errors import (
 from chebpot.extremal import solve_extremal
 from chebpot.realset import make_set
 from chebpot.weights import RecipPolyWeight, UnitWeight
-from chebpot.potential import green
+from chebpot.potential import green, green_cross
 
 E1 = make_set([(-1, 1)])
 E06 = make_set([(-1, -0.6), (0.6, 1)])
@@ -261,3 +261,24 @@ def test_green_dominates_level_set_green():
     for z in (0.0, 0.3, 1.5, -2.0, 4.0):
         if not bs.merged.contains(z):
             assert g_base(z) >= g_level(z) - 1e-12
+
+
+def test_array_green_exponent_matches_scalar_green_cross():
+    # poles at 3 (real) and +-0.5i (a complex pair)
+    w = RecipPolyWeight([-0.75, 0.25, -3.0, 1.0])
+    bs = compute_band_set(frame_for(E1, w, math.inf, 8))
+    fr = bs.frame
+    assert any(complex(c).imag == 0 for c in fr.retained)
+    assert any(complex(c).imag != 0 for c in fr.retained)
+    lo, hi = bs.merged.hull
+    samples = [hi + 0.3, hi + 1.7, lo - 0.2, lo - 2.5, 2.6]
+    for gap in bs.merged.gaps():
+        if gap.bounded:
+            samples.append(0.5 * (gap.lo + gap.hi))
+    cr = verify_cosh_identity(bs, samples)
+    for z, res in zip(samples, cr.residuals):
+        G = (fr.d_n - fr.r_n) * green_cross(bs.merged, z, math.inf)
+        G += sum(green_cross(bs.merged, z, complex(c)) for c in fr.retained)
+        lhs = abs(fr(z))
+        assert abs(res - abs(lhs - bs.level * math.cosh(G)) / lhs) < 1e-13
+        assert abs(blaschke_magnitude(bs, z) - math.exp(-G)) < 1e-13

@@ -12,6 +12,7 @@ from chebpot.errors import (
 )
 from chebpot.extremal import (
     RemezOptions,
+    _Workspace,
     renormalize,
     solve_extremal,
     verify_alternation,
@@ -110,6 +111,15 @@ def test_degenerate_degree_in_bounded_gap():
     assert sol.degree == 0
     assert abs(sol.t - 1.0) < 1e-12
     assert sol.signs == (1, 1)  # no sign change across the straddling pair
+
+
+def test_flat_error_yields_no_plateau_candidates():
+    # |f| is constant on E06 for the degree-0 solution: every grid node ties
+    sol = solve_extremal(E06, UNIT, 0.1, 1)
+    assert sol.degree == 0 and sol.t == 1
+    ws = _Workspace(E06, UNIT, 0.1, 1, RemezOptions())
+    x, _ = ws.candidates(np.asarray(sol.cheb_coeffs))
+    assert x.size <= 2 * E06.nbands
 
 
 def test_sign_pattern_invariance():

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from chebpot import potential
 from chebpot.errors import BothComplexError, PoleOnSetError, ZeroOnSetError
 from chebpot.potential import (
     conjugate_pair_measure,
-    critical_points,
     equilibrium,
     green,
     green_cross,
     harmonic_measure,
-    pw_sum,
     szego_factor,
     szego_integral,
     szego_recip_poly,
@@ -25,7 +24,7 @@ from chebpot.weights import (
     UnitWeight,
     exp_inv_abs_weight,
 )
-from oracles import cap_two_symmetric, green_interval, quad_band_sqrt
+from oracles import cap_two_symmetric, green_interval, pole_shift_green, quad_band_sqrt
 
 E1 = make_set([(-1, 1)])
 E06 = make_set([(-1, -0.6), (0.6, 1)])
@@ -141,27 +140,27 @@ def test_green_pole_on_set_rejected():
 
 
 def test_critical_points_interval_empty():
-    assert critical_points(green(E1)) == []
-    assert pw_sum(green(E1)) == 0.0
+    assert green(E1).critical_points == ()
+    assert green(E1).pw_sum == 0.0
 
 
 def test_critical_point_symmetric():
-    cps = critical_points(green(E06))
+    cps = green(E06).critical_points
     assert len(cps) == 1
-    gap, zeta, val = cps[0]
+    gap, zeta, val = cps[0].gap, cps[0].location, cps[0].value
     assert gap.bounded and abs(zeta) < 1e-14
     assert abs(val - LOG2) < 1e-12
-    assert abs(pw_sum(green(E06)) - LOG2) < 1e-8
+    assert abs(green(E06).pw_sum - LOG2) < 1e-8
 
 
 def test_finite_pole_critical_point_at_infinity():
     gev = green(E06, 0.0)
-    cps = critical_points(gev)
+    cps = gev.critical_points
     assert len(cps) == 1
-    gap, zeta, val = cps[0]
+    gap, zeta, val = cps[0].gap, cps[0].location, cps[0].value
     assert not gap.bounded and math.isinf(zeta)
     assert abs(val - LOG2) < 1e-12
-    assert abs(pw_sum(gev) - LOG2) < 1e-8
+    assert abs(gev.pw_sum - LOG2) < 1e-8
 
 
 def test_green_symmetry_random_pairs():
@@ -193,9 +192,9 @@ def test_green_monotone_under_set_growth():
 
 
 def test_pole_shift_identity_self_consistency():
-    v = green_cross(E1, 2.0, 3.0)
+    v = pole_shift_green(E1, 2.0, 3.0)
     assert abs(v - green(E1, 3.0)(2.0)) < 1e-7
-    v2 = green_cross(E06, 1.3, 2.5)
+    v2 = pole_shift_green(E06, 1.3, 2.5)
     assert abs(v2 - green(E06, 2.5)(1.3)) < 1e-7
 
 
@@ -294,6 +293,38 @@ def test_pair_measure_identity_oracle():
             green_cross(E, c, x0) - green_cross(E, c, math.inf) + math.log(abs(c - x0))
         )
         assert abs(total - rhs) < 1e-9
+
+
+def _result_objects():
+    return [
+        green(E3, 2.0),
+        green(E06),
+        harmonic_measure(E3, 2.0),
+        harmonic_measure(E06),
+        conjugate_pair_measure(E3, -1.5 + 0.4j),
+    ]
+
+
+def test_result_objects_hold_no_core():
+    for obj in _result_objects():
+        assert not any(isinstance(v, potential._Core) for v in vars(obj).values())
+
+
+def test_values_unchanged_after_core_cache_clear():
+    z = np.array([2.5, -3.0, 0.1 + 0.2j, 1.0 + 1e-3j, 4.0])
+
+    def values():
+        g2, g, hm2, hm, pm = _result_objects()
+        return [
+            g2(z), g(z), g2(-0.25), hm2.mass(-1.0, 0.1), hm.mass(-1.0, 0.1),
+            hm2.density(np.array([0.05, -0.7])), hm2.nodes_weights()[1].sum(),
+            pm.mass(-1.0, 0.1), pm.density(np.array([0.05, -0.7])), pm.total(),
+        ]
+
+    before = values()
+    potential._core.cache_clear()
+    for a, b in zip(before, values()):
+        np.testing.assert_array_equal(a, b)
 
 
 # -- Szego factors ------------------------------------------------------------

@@ -9,20 +9,20 @@ from chebpot.errors import (
     OverlapError,
     PointOnSetError,
 )
-from chebpot.realset import make_set, gaps, sample_grid
+from chebpot.realset import make_set, sample_grid
 
 
 def test_single_interval():
     E = make_set([(-1, 1)])
     assert E.nbands == 1
-    gs = gaps(E)
+    gs = E.gaps()
     assert len(gs) == 1 and not gs[0].bounded
 
 
 def test_symmetric_pair():
     E = make_set([(-1, -0.5), (0.5, 1)])
     assert E.nbands == 2
-    gs = gaps(E)
+    gs = E.gaps()
     assert gs[0].bounded and (gs[0].lo, gs[0].hi) == (-0.5, 0.5)
     assert not gs[1].bounded
 
@@ -106,7 +106,7 @@ def test_grid_contained_and_partition():
 
 def test_gaps_tile_extended_line():
     E = make_set([(-2, -1), (0, 1), (3, 4)])
-    gs = gaps(E)
+    gs = E.gaps()
     assert len(gs) == 3
     # bounded gaps sit exactly between consecutive bands
     assert (gs[0].lo, gs[0].hi) == (-1, 0)

@@ -8,16 +8,14 @@ consecutive pair straddling x* (cyclically, with sgn(inf - x) = 1).
 
 The solver works on the flipped error f(x) = sgn(x* - x) w(x) P(x),
 whose optimal values alternate strictly; each iteration solves the
-linear system f(x_j) = (-1)^j h and re-selects extrema.  For weights
-with rational square (unit, |A|, 1/|P_m|, semicircle factors, products)
-the extrema of |f| per band are located exactly as roots of
-
-    H = 2 P' N D + P (N' D - N D'),      w^2 = N/D,
-
-so the converged norm is grid-independent; sampled/callable weights fall
-back to a refined grid with parabolic polishing.  A normalization point
-in the unbounded gap reduces to the monic problem by rescaling, which is
-exact by the gap-continuity of the extremal polynomials.
+linear system f(x_j) = (-1)^j h and re-selects extrema.  One search
+serves every weight: the candidates are the band ends, the weight's
+kinks on E, and each strict local maximum of |f| on a cosine grid,
+polished inside its two grid cells by a parabolic step and two Newton
+steps on central differences, so the converged norm does not depend on
+the grid.  A normalization point in the unbounded gap reduces to the
+monic problem by rescaling, which is exact by the gap-continuity of the
+extremal polynomials.
 """
 
 from __future__ import annotations
@@ -40,14 +38,16 @@ from .realset import FiniteGapSet, sample_grid
 from .weights import Weight
 
 _DEGENERATE_LEAD = 1e-10
-_MAX_GRID = 32768  # grid refinement ceiling for sampled/callable weights
+_MAX_ITER = 80
+_NEWTON_STEPS = 2  # polishing steps per grid maximum
+_AUDIT_GRID = 4096  # cosine nodes per band for verify_alternation
+_AUDIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class RemezOptions:
     tol: float = 1e-11  # relative equioscillation defect
     grid: int = 2048  # cosine nodes per band for candidate supply
-    max_iter: int = 80
 
 
 @dataclass(frozen=True)
@@ -136,17 +136,13 @@ class _Workspace:
         self.E, self.w, self.x_star, self.n, self.opts = E, w, x_star, n, opts
         lo, hi = E.hull
         self.center, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.structural = w.square_rational(self.center, self.half)
-        self.grid_n = opts.grid
-        self._set_grid(self.grid_n)
-
-    def _set_grid(self, grid_n: int):
-        self.grid_n = grid_n
-        self.grid = sample_grid(self.E, grid_n)
-        self.wg = np.asarray(self.w(self.grid), dtype=float)
+        self.grid = sample_grid(E, opts.grid)
+        self.wg = np.asarray(w(self.grid), dtype=float)
         if not np.any(self.wg > 0):
             raise WeightDegenerateError("weight vanishes on the whole grid")
-        self.sg = _sign_factor(self.grid, self.x_star)
+        # candidates in every iteration: band ends and the weight's kinks on E
+        ends = [e for ab in E.bands for e in ab]
+        self.fixed = np.asarray(ends + [t for t in w.kinks(E) if E.contains(t)], dtype=float)
 
     # -- linear solve on a reference ------------------------------------
 
@@ -197,66 +193,41 @@ class _Workspace:
             * C.chebval(y, coeffs)
         )
 
-    def _root_candidates(self, coeffs: np.ndarray) -> np.ndarray:
-        N, D = self.structural
-        Pd = C.chebder(coeffs)
-        H = 2.0 * _chebmul3(Pd, N, D)
-        H = _chebadd(H, _chebmul3(coeffs, C.chebder(N), D))
-        if D.size > 1:
-            H = _chebadd(H, -_chebmul3(coeffs, N, C.chebder(D)))
-        scale = np.max(np.abs(H)) if H.size else 0.0
-        if scale == 0.0:
-            return np.empty(0)
-        H = C.chebtrim(H, tol=1e-13 * scale)
-        if H.size <= 1:
-            return np.empty(0)
-        roots = C.chebroots(H)
-        roots = roots[np.abs(roots.imag) < 1e-7].real
-        x = self.center + self.half * roots
-        tol = 1e-9 * self.E.diameter
-        out = []
-        for xi in x:
-            j = self.E.band_index(xi, tol)
-            if j >= 0:
-                a, b = self.E.bands[j]
-                out.append(min(max(xi, a), b))
-        return np.asarray(out)
+    def _grid_maxima(self, coeffs: np.ndarray) -> np.ndarray:
+        """Strict local maxima of |f| on the grid, polished inside their two cells.
 
-    def _grid_candidates(self, coeffs: np.ndarray):
-        fg = self.f_of(coeffs, self.grid)
-        af = np.abs(fg)
+        The vertex of the parabola through the grid neighbours starts
+        Newton steps on central differences; a Newton iterate whose |f|
+        fell goes back to its best iterate and stops.  The last iterate is
+        returned beside the best one where it moved.
+        """
+        g, af = self.grid, np.abs(self.f_of(coeffs, self.grid))
+        i = np.arange(1, af.size - 1)
         # strict on the right: a flat stretch of |f| yields at most one node
-        idx = np.nonzero(
-            (af >= np.roll(af, 1)) & (af > np.roll(af, -1)) & (af > 0)
-        )[0]
-        idx = idx[(idx > 0) & (idx < af.size - 1)]
-        xs = self.grid[idx]
-        if self.structural is None and idx.size:
-            xs = self._parabolic(xs, idx, af)
-        return xs
-
-    def _parabolic(self, xs, idx, af):
-        out = []
-        for i in idx:
-            x0, x1, x2 = self.grid[i - 1], self.grid[i], self.grid[i + 1]
-            f0, f1, f2 = af[i - 1], af[i], af[i + 1]
-            num = (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
-            den = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
-            xv = x1 if den == 0 else x1 - 0.5 * num / den
-            j = self.E.band_index(x1, 0.0)
-            a, b = self.E.bands[j]
-            if not (a <= xv <= b) or not (x0 <= xv <= x2):
-                xv = x1
-            out.append(xv)
-        return np.asarray(out)
+        i = i[(af[i] >= af[i - 1]) & (af[i] > af[i + 1]) & (af[i] > 0)]
+        # a bracket must not straddle a gap; band ends are candidates anyway
+        i = i[(i % self.opts.grid != 0) & (i % self.opts.grid != self.opts.grid - 1)]
+        lo, best, hi = g[i - 1], g[i], g[i + 1]
+        f0, fbest, f2 = af[i - 1], af[i], af[i + 1]
+        num = (best - lo) ** 2 * (fbest - f2) - (best - hi) ** 2 * (fbest - f0)
+        den = (best - lo) * (fbest - f2) - (best - hi) * (fbest - f0)
+        x = np.clip(best - 0.5 * num / np.where(den == 0, np.inf, den), lo, hi)
+        d = 1e-3 * (hi - lo)  # small against the cell, large against rounding
+        live = np.ones(i.size, dtype=bool)
+        for k in range(_NEWTON_STEPS):
+            fp, fx, fm = np.abs(self.f_of(coeffs, np.concatenate([x + d, x, x - d]))).reshape(3, -1)
+            rose = fx >= fbest
+            if k:  # the vertex may fall short of the node and still steer Newton
+                live &= rose
+            best, fbest = np.where(live & rose, x, best), np.where(live & rose, fx, fbest)
+            curv = fp - 2.0 * fx + fm
+            ok = live & (curv < 0)
+            step = 0.5 * d * (fp - fm) / np.where(ok, curv, -1.0)
+            x = np.where(ok, np.clip(x - step, lo, hi), best)
+        return np.concatenate([best, x[x != best]])
 
     def candidates(self, coeffs: np.ndarray):
-        pieces = [np.asarray([e for ab in self.E.bands for e in ab])]
-        pieces.append(self._grid_candidates(coeffs))
-        if self.structural is not None:
-            pieces.append(self._root_candidates(coeffs))
-        x = np.concatenate([p for p in pieces if p.size])
-        x = np.sort(x)
+        x = np.sort(np.concatenate([self.fixed, self._grid_maxima(coeffs)]))
         f = self.f_of(coeffs, x)
         # dedupe: keep the larger |f| among points closer than 1e-12*diam
         tol = 1e-12 * self.E.diameter
@@ -300,18 +271,6 @@ class _Workspace:
             if s > best_sum:
                 best_sum, best = s, i
         return x[best : best + m]
-
-
-def _chebadd(a, b):
-    n = max(a.size, b.size)
-    out = np.zeros(n)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
-def _chebmul3(a, b, c):
-    return C.chebmul(C.chebmul(a, b), c)
 
 
 def _initial_reference(ws: _Workspace) -> np.ndarray:
@@ -373,7 +332,7 @@ def _run_exchange(ws: _Workspace):
         raise NoConvergenceError("could not build an initial reference")
     best = None
     since_improvement = 0
-    for it in range(opts.max_iter):
+    for it in range(_MAX_ITER):
         coeffs, h = ws.solve_system(ref)
         x, f = ws.candidates(coeffs)
         ax, af = ws.alternating(x, f, ref)
@@ -407,8 +366,8 @@ def _run_exchange(ws: _Workspace):
     if defect < 1e-6:
         return coeffs, window, M, defect
     raise NoConvergenceError(
-        f"Remez defect {defect:.3e} after {opts.max_iter} iterations",
-        iterations=opts.max_iter,
+        f"Remez defect {defect:.3e} after {_MAX_ITER} iterations",
+        iterations=_MAX_ITER,
     )
 
 
@@ -459,30 +418,17 @@ def solve_extremal(
             return renormalize(base, x_star)
 
     ws = _Workspace(E, w, x_star, n, opts)
-    coeffs, window, M, defect = _run_exchange(ws)
-    if ws.structural is None:
-        # grid-limited extrema: refine until the norm stabilizes
-        while ws.grid_n * 2 <= _MAX_GRID:
-            ws._set_grid(ws.grid_n * 2)
-            coeffs2, window2, M2, defect2 = _run_exchange(ws)
-            stable = abs(M2 - M) <= 1e-10 * max(M, M2)
-            coeffs, window, M, defect = coeffs2, window2, M2, defect2
-            if stable:
-                break
-    sol = _assemble(ws, coeffs, window, M, defect)
+    sol = _assemble(ws, *_run_exchange(ws))
     expected = _pattern_signs(sol.alternation, sol.x_star, sol.k_star)
     if not np.array_equal(np.sign(expected).astype(int), np.asarray(sol.signs)):
         raise NoConvergenceError("converged solution violates the alternation pattern")
     return sol
 
 
-def verify_alternation(
-    sol: ExtremalPoly, E: FiniteGapSet, w: Weight, audit_per_band: int = 4096, tol: float = 1e-8
-) -> AlternationReport:
+def verify_alternation(sol: ExtremalPoly, E: FiniteGapSet, w: Weight) -> AlternationReport:
     """Audit a candidate solution against the alternation characterization."""
-    ws = _Workspace(E, w, sol.x_star, sol.n, RemezOptions(grid=audit_per_band))
-    coeffs = np.asarray(sol.cheb_coeffs)
-    x, f = ws.candidates(coeffs)
+    ws = _Workspace(E, w, sol.x_star, sol.n, RemezOptions(grid=_AUDIT_GRID))
+    _, f = ws.candidates(np.asarray(sol.cheb_coeffs))
     audit_max = float(np.max(np.abs(f)))
     pts = np.asarray(sol.alternation)
     e_vals = np.asarray(w(pts), dtype=float) * sol(pts)
@@ -490,7 +436,7 @@ def verify_alternation(
     residuals = np.abs(e_vals - expected) / sol.t
     pattern_ok = bool(np.all(np.sign(e_vals) == np.sign(expected)))
     excess = (audit_max - sol.t) / sol.t
-    passed = pattern_ok and excess <= tol and bool(np.all(residuals <= tol))
+    passed = pattern_ok and excess <= _AUDIT_TOL and bool(np.all(residuals <= _AUDIT_TOL))
     return AlternationReport(
         t=sol.t,
         audit_max=audit_max,

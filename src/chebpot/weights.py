@@ -1,24 +1,18 @@
 """Weight functions for sup-norm extremal problems on finite-gap sets.
 
 All weights are nonnegative and upper semi-continuous by construction.
-Structured variants expose w(x)^2 as a rational function of x, which the
-solver uses to locate extrema of the weighted error by root finding.
+Structured variants expose their zeros and poles as log factors, which the
+potential layer turns into closed-form Szego integrals; every weight names
+its kinks on a set, which quadrature and the Remez extremum search take as
+breakpoints and candidates.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
 from .realset import FiniteGapSet
-
-
-def _poly_to_cheb_y(coeffs, center: float, half: float) -> np.ndarray:
-    """Monomial coefficients in t -> Chebyshev coefficients in y = (t-center)/half."""
-    p_t = P.Polynomial(np.asarray(coeffs, dtype=float))
-    p_y = p_t(P.Polynomial([center, half]))
-    return C.poly2cheb(p_y.coef)
 
 
 def _real_zeros_on(E: FiniteGapSet, zeros, tol: float = 0.0):
@@ -41,10 +35,6 @@ class Weight:
 
     def recip_data(self):
         """(m, zeros, lead) when w = 1/|P_m|, else None.  Unit weight is m = 0."""
-        return None
-
-    def square_rational(self, center: float, half: float):
-        """w^2 as (num, den) Chebyshev coefficient arrays in y, or None."""
         return None
 
     def log_singularities(self, E: FiniteGapSet):
@@ -83,9 +73,6 @@ class UnitWeight(Weight):
     def log_factors(self, E):
         return (1.0, ())
 
-    def square_rational(self, center, half):
-        return (np.array([1.0]), np.array([1.0]))
-
     def tail_lower_qualified(self, E):
         return True
 
@@ -114,10 +101,6 @@ class AbsPolyWeight(Weight):
         if self.coeffs.size <= 1:
             return ()
         return tuple(np.roots(self.coeffs[::-1]))
-
-    def square_rational(self, center, half):
-        a = _poly_to_cheb_y(self.coeffs, center, half)
-        return (C.chebmul(a, a), np.array([1.0]))
 
     def log_singularities(self, E):
         return _real_zeros_on(E, self.zeros, tol=1e-12 * E.diameter)
@@ -166,10 +149,6 @@ class RecipPolyWeight(Weight):
     def log_factors(self, E):
         return (1.0 / abs(self.lead), tuple((c, -1.0) for c in self._zeros))
 
-    def square_rational(self, center, half):
-        p = _poly_to_cheb_y(self.coeffs, center, half)
-        return (np.array([1.0]), C.chebmul(p, p))
-
     def tail_lower_qualified(self, E):
         return True
 
@@ -195,13 +174,6 @@ class SemicircleWeight(Weight):
         for a, b in self.pairs:
             prod = prod * np.clip((b - x) * (x - a), 0.0, None)
         return np.sqrt(prod)
-
-    def square_rational(self, center, half):
-        num = np.array([1.0])
-        for a, b in self.pairs:
-            fac = _poly_to_cheb_y([-a * b, a + b, -1.0], center, half)
-            num = C.chebmul(num, fac)
-        return (num, np.array([1.0]))
 
     def log_singularities(self, E):
         pts = [p for a, b in self.pairs for p in (a, b)]
@@ -283,16 +255,6 @@ class ProductWeight(Weight):
         for w in self.factors:
             out = out * w(x)
         return out
-
-    def square_rational(self, center, half):
-        num, den = np.array([1.0]), np.array([1.0])
-        for w in self.factors:
-            part = w.square_rational(center, half)
-            if part is None:
-                return None
-            num = C.chebmul(num, part[0])
-            den = C.chebmul(den, part[1])
-        return (num, den)
 
     def log_singularities(self, E):
         pts: list[float] = []

@@ -24,6 +24,7 @@ from chebpot.weights import (
     SampledWeight,
     SemicircleWeight,
     UnitWeight,
+    exp_inv_abs_weight,
 )
 from oracles import lp_minimax, t_monic_chebyshev, t_residual_interval
 
@@ -87,11 +88,34 @@ def test_two_interval_lp_cross_check():
     assert sol.t - t_lp < 1e-5 * sol.t
 
 
-def test_grid_refinement_stability():
-    w = AbsPolyWeight([-0.3, 1.0])
-    a = solve_extremal(E1, w, math.inf, 7, RemezOptions(grid=2048))
-    b = solve_extremal(E1, w, math.inf, 7, RemezOptions(grid=4096))
-    assert abs(a.t - b.t) < 1e-9 * a.t
+E3 = make_set([(-1, -0.5), (-0.2, 0.3), (0.6, 1)])
+# piecewise-linear tent whose maximum of |wP| at n = 5 sits on the kink
+TENT = SampledWeight([-1, 0.3137, 1], [0.2, 1, 0.3])
+
+
+@pytest.mark.parametrize(
+    "E, w, n",
+    [
+        (E1, AbsPolyWeight([-0.3, 1.0]), 7),
+        (E1, exp_inv_abs_weight(0.2), 16),
+        (E1, exp_inv_abs_weight(0.2), 40),
+        (E3, SampledWeight(np.linspace(-1, 1, 9), [1, 0.6, 1.4, 0.8, 1, 0.5, 1.2, 0.9, 1.1]), 8),
+        (E1, TENT, 5),
+    ],
+    ids=["abs_poly", "exp_inv_abs_n16", "exp_inv_abs_n40", "sampled_three_band", "tent"],
+)
+def test_grid_refinement_stability(E, w, n):
+    a, b, c = (solve_extremal(E, w, math.inf, n, RemezOptions(grid=g)) for g in (256, 2048, 4096))
+    assert abs(a.t - b.t) < 1e-9 * b.t
+    assert abs(c.t - b.t) < 1e-9 * b.t
+
+
+def test_maximum_on_weight_kink():
+    sol = solve_extremal(E1, TENT, math.inf, 5)
+    x = np.linspace(-1, 1, 2_000_001)
+    audit = np.max(np.abs(TENT(x) * sol(x)))
+    assert abs(audit - sol.t) <= 1e-12 * sol.t
+    assert 0.3137 in sol.alternation
 
 
 def test_zeros_real_simple_and_off_straddle():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev as C
 
 from chebpot.realset import make_set
 from chebpot.weights import (
@@ -14,35 +13,6 @@ from chebpot.weights import (
 )
 
 E1 = make_set([(-1, 1)])
-
-
-def _check_square_rational(w, center=0.0, half=1.0, pts=None):
-    num, den = w.square_rational(center, half)
-    pts = np.linspace(-0.97, 0.97, 23) if pts is None else pts
-    y = (pts - center) / half
-    vals = C.chebval(y, num) / C.chebval(y, den)
-    np.testing.assert_allclose(vals, np.asarray(w(pts)) ** 2, rtol=1e-11, atol=1e-13)
-
-
-def test_unit_square_rational():
-    _check_square_rational(UnitWeight())
-
-
-def test_abs_poly_square_rational():
-    _check_square_rational(AbsPolyWeight([1.0, -2.0, 0.5]))
-
-
-def test_recip_square_rational():
-    _check_square_rational(RecipPolyWeight([-3.0, 1.0]))
-
-
-def test_semicircle_square_rational():
-    _check_square_rational(SemicircleWeight([(-1, 1)]))
-
-
-def test_product_square_rational():
-    w = ProductWeight((AbsPolyWeight([-0.3, 1.0]), RecipPolyWeight([-3.0, 1.0])))
-    _check_square_rational(w)
 
 
 def test_product_evaluates_as_product():

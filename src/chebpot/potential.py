@@ -5,10 +5,11 @@ Everything reduces to the pole-at-infinity case.  For a set E with bands
 
     rho(t) = |Q(t)| / (pi * sqrt(|R(t)|)),
 
-with Q monic of degree p-1 fixed by vanishing period integrals of
-Q/sqrt(R) over the bounded gaps.  The Green function with pole at
-infinity is g(z) = int log|z-t| drho(t) - log cap(E); its critical points
-are the zeros of Q, one per bounded gap.
+with Q(t) = prod_j (t - z_j) monic of degree p-1, one zero per bounded gap.
+Newton on the vanishing gap periods of Q/sqrt(R) fixes the zeros (Embree &
+Trefethen, SIAM Rev. 41, 1999), and Q is evaluated in product form.  The
+Green function with pole at infinity is g(z) = int log|z-t| drho(t) - log
+cap(E); its critical points are the zeros z_j.
 
 Finite poles are handled by the Moebius substitution s = 1/(t - x0),
 which maps E to another finite union of closed intervals and turns
@@ -17,7 +18,7 @@ Harmonic measure at a finite base transforms the same way.  For a base
 at a conjugate pair {c, conj(c)} off the real line (needed when rational
 weights have complex zeros) the pair measure omega(. , c) + omega(. , conj(c))
 has density |M(t)| / (pi |t - c|^2 sqrt(|R(t)|)) with M of degree p fixed
-by a residue condition at c plus the gap period conditions.
+by a residue condition at c plus the gap periods, in the basis Q/(t - z_j), Q, tQ.
 
 Quadrature: the substitution t = m - r*cos(theta) per band/gap removes
 the inverse-square-root endpoint singularities and leaves a smooth
@@ -33,7 +34,6 @@ in coordinates normalized to the convex hull for conditioning.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -52,6 +52,7 @@ _CHUNK = 1 << 16  # array elements per temporary in batched evaluation (~1 MB)
 _ADAPT_INTERVALS = 2000  # open intervals at which adaptive quadrature accepts what it has
 _ADAPT_EPSABS, _ADAPT_EPSREL = 1e-13, 1e-12  # adaptive quadrature tolerances
 _ORDER, _MAX_ORDER = 256, 2048  # first and last Fejer order of the equilibrium rule
+_NEWTON_STEPS = 20  # cap on Newton steps for the zeros of Q at one order
 _MASS_ORDER = 160  # Gauss-Legendre order of the theta-band mass integral
 
 
@@ -125,16 +126,12 @@ class _Core:
     """Equilibrium data of one finite-gap set, in hull-normalized coordinates."""
 
     def __init__(self, E: FiniteGapSet):
-        self.E = E
         lo, hi = E.hull
         self.center = 0.5 * (lo + hi)
         self.half = 0.5 * (hi - lo)
-        self.bands = [
-            ((a - self.center) / self.half, (b - self.center) / self.half)
-            for a, b in E.bands
-        ]
-        self.p = len(self.bands)
-        self.ends = np.array([e for ab in self.bands for e in ab])
+        self.p = len(E.bands)
+        self.ends = (np.array(E.bands).ravel() - self.center) / self.half
+        self.z = 0.5 * (self.ends[1:-1:2] + self.ends[2:-1:2])  # Newton starts at gap midpoints
 
         prev_logcap = None
         n = _ORDER
@@ -153,7 +150,7 @@ class _Core:
             n *= 2
         self.order = n
         self.capacity = self.half * math.exp(self.logcap)
-        self._criticals_hat = self._find_criticals()
+        self.z_green = self.g_hat(self.z)  # the critical values of g
 
     # -- construction ------------------------------------------------------
 
@@ -166,65 +163,49 @@ class _Core:
             out = out * np.abs(tau - e)
         return np.sqrt(out)
 
-    def gap_moments(self, n: int, npow: int, ch=None) -> np.ndarray:
-        """Row k, column i: int over bounded gap k of tau^i / sqrt|R(tau)|,
-        divided by |tau - ch|^2 when ch is given, by Fejer's rule of order n."""
+    def _theta_rule(self, first, n: int):
+        """Fejer's rule of order n in theta for int f / sqrt|R| over the intervals
+        between consecutive band ends (e_f, e_f+1), f in the array `first`:
+        nodes and weights with one row per interval."""
         cos, v = _fejer_theta(n)
-        out = np.empty((self.p - 1, npow))
-        for k in range(self.p - 1):
-            glo, ghi = self.bands[k][1], self.bands[k + 1][0]
-            m, r = 0.5 * (glo + ghi), 0.5 * (ghi - glo)
-            tau = m - r * cos
-            s = self._sqrt_excl(tau, skip=(2 * k + 1, 2 * k + 2))
-            base = v / (s if ch is None else np.abs(tau - ch) ** 2 * s)
-            pw = np.ones_like(tau)
-            for i in range(npow):
-                out[k, i] = np.dot(base, pw)
-                pw = pw * tau
-        return out
+        lo, hi = self.ends[first], self.ends[first + 1]
+        tau = 0.5 * (lo + hi)[:, None] - 0.5 * (hi - lo)[:, None] * cos
+        s = [self._sqrt_excl(t, skip=(f, f + 1)) for t, f in zip(tau, first)]
+        return tau, v / np.array(s).reshape(tau.shape)
+
+    def _solve_zeros(self, n: int):
+        """Newton on the gap periods F_k(z) = int_{gap k} Q / sqrt|R| = 0 with
+        dF_k/dz_i = -int_{gap k} Q / ((tau - z_i) sqrt|R|), from the current z.
+        A step that would leave gap k goes halfway to that gap's edge instead.
+        Convergence is quadratic: once every step is below 1e-9 of its gap's
+        width, the zeros are at rounding level."""
+        tau, base = self._theta_rule(2 * np.arange(self.p - 1) + 1, n)
+        lo, hi = self.ends[1:-1:2], self.ends[2:-1:2]
+        z = self.z
+        for _ in range(_NEWTON_STEPS):
+            q, quo = self.q_parts(tau.ravel())
+            F = np.sum(base * q.reshape(tau.shape), axis=1)
+            J = -np.einsum("ikn,kn->ki", quo.reshape((-1,) + tau.shape), base)
+            new = z + _solve(J, -F, "gap period")
+            new = np.where(new < lo, 0.5 * (z + lo), np.where(new > hi, 0.5 * (z + hi), new))
+            done = np.all(np.abs(new - z) <= 1e-9 * (hi - lo))
+            self.z = z = new
+            if done:
+                return
+        raise IllConditionedError(f"gap period Newton did not converge at order {n}")
 
     def _build(self, n: int):
-        # period conditions fix the p-1 free coefficients of monic Q
-        if self.p == 1:
-            self.qh = np.array([1.0])
-        else:
-            mom = self.gap_moments(n, self.p)
-            self.qh = np.append(_solve(mom[:, :-1], -mom[:, -1], "gap period"), 1.0)
-
-        # per-band equilibrium quadrature rule
-        cos, v = _fejer_theta(n)
-        nodes, weights = [], []
-        self._band_slices = []
-        pos = 0
-        for j, (a, b) in enumerate(self.bands):
-            m, r = 0.5 * (a + b), 0.5 * (b - a)
-            tau = m - r * cos
-            s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-            nodes.append(tau)
-            weights.append(v * self.q_abs(tau) / (np.pi * s))
-            self._band_slices.append((pos, pos + n))
-            pos += n
-        self.nodes = np.concatenate(nodes)
-        self.weights = np.concatenate(weights)
+        if self.p > 1:
+            self._solve_zeros(n)
+        tau, base = self._theta_rule(2 * np.arange(self.p), n)
+        self.nodes = tau.ravel()
+        self.weights = (base * self.q_abs(tau)).ravel() / np.pi
         self.mass = float(self.weights.sum())
 
         g_ref = self._edge(np.array([_XREF]), np.array([self.ends[-1]]))[0]
         self.logcap = float(
             np.dot(self.weights, np.log(np.abs(_XREF - self.nodes))) - g_ref
         )
-
-    def _find_criticals(self):
-        """Zeros of Q (one per bounded gap) as companion eigenvalues, Newton-polished."""
-        if self.p == 1:
-            return []
-        lo = np.array([self.bands[k][1] for k in range(self.p - 1)])
-        hi = np.array([self.bands[k + 1][0] for k in range(self.p - 1)])
-        z = np.clip(np.sort(P.polyroots(self.qh).real), lo, hi)
-        dq = P.polyder(self.qh)
-        for _ in range(3):
-            z = np.clip(z - P.polyval(z, self.qh) / P.polyval(z, dq), lo, hi)
-        vals = self.g_hat(z)
-        return [(k, float(z[k]), float(vals[k])) for k in range(self.p - 1)]
 
     # -- evaluation --------------------------------------------------------
 
@@ -271,15 +252,16 @@ class _Core:
                 ix = sel[s0 : s0 + rows]
                 di, ei = d[ix, None], e[ix, None]
                 du2 = di * u2
-                tau = ei + du2
-                num = (2.0 * u) * di * P.polyval(tau, self.qh)
+                num = (2.0 * u) * di
+                for zj in self.z:
+                    num = num * (du2 + (ei - zj))
                 if cplx:
-                    root = np.ones_like(tau)
+                    root = np.ones_like(du2)
                     for a, b in self.ends.reshape(-1, 2):
                         root *= _sqrt_uhp((du2 + (ei - a)) * (du2 + (ei - b)))
                     out[ix] = np.abs((num / root).real @ wu)
                 else:
-                    prod = np.ones_like(tau)
+                    prod = np.ones_like(du2)
                     for a in self.ends:
                         prod *= du2 + (ei - a)
                     out[ix] = np.abs((num / np.sqrt(np.abs(prod))) @ wu)
@@ -317,33 +299,43 @@ class _Core:
             out[near] = self._edge(pts, self.ends[np.argmin(np.abs(pts[:, None] - self.ends), axis=1)])
         return out
 
-    @staticmethod
-    def _theta_of(a: float, b: float, x: float) -> float:
-        # ((a-x)+(b-x))/(b-a) is exactly +-1 when x hits an endpoint
-        ratio = ((a - x) + (b - x)) / (b - a)
-        return math.acos(min(1.0, max(-1.0, ratio)))
+    def q(self, tau):
+        """Q(tau) = prod_j (tau - z_j), monic with one zero per bounded gap."""
+        out = np.ones_like(tau)
+        for zj in self.z:
+            out = out * (tau - zj)
+        return out
 
     def q_abs(self, tau):
-        return np.abs(P.polyval(tau, self.qh))
+        return np.abs(self.q(tau))
+
+    def q_parts(self, tau):
+        """Q and the rows Q/(tau - z_i) at a 1-d array of points; where tau is
+        a zero z_i, row i holds its limit, the product of the other factors."""
+        d = tau - self.z[:, None]
+        q = d.prod(axis=0)
+        hit = np.nonzero(d == 0)
+        d[hit] = 1.0
+        quo = q / d
+        quo[hit] = d[:, hit[1]].prod(axis=0)
+        return q, quo
 
     def mass_hat(self, lo: float, hi: float, numer=None) -> float:
         """int over [lo, hi] of numer / (pi sqrt|R|) in normalized coordinates,
         in theta per band; the default numer |Q| gives the equilibrium mass."""
-        if hi <= lo:
-            return 0.0
-        numer = numer or self.q_abs
         total = 0.0
         u, w = _gauss01(_MASS_ORDER)
-        for j, (a, b) in enumerate(self.bands):
-            c, d = max(lo, a), min(hi, b)
-            if d <= c:
+        for j, (a, b) in enumerate(self.ends.reshape(-1, 2)):
+            if min(hi, b) <= max(lo, a):
                 continue
-            m, r = 0.5 * (a + b), 0.5 * (b - a)
-            th1 = self._theta_of(a, b, c)
-            th2 = self._theta_of(a, b, d)
-            tau = m - r * np.cos(th1 + (th2 - th1) * u)
+            # ((a-x)+(b-x))/(b-a) is exactly +-1 when x hits an endpoint
+            th1, th2 = (
+                math.acos(min(1.0, max(-1.0, ((a - x) + (b - x)) / (b - a))))
+                for x in (max(lo, a), min(hi, b))
+            )
+            tau = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(th1 + (th2 - th1) * u)
             s = self._sqrt_excl(tau, skip=(2 * j, 2 * j + 1))
-            total += (th2 - th1) * float(np.dot(w, numer(tau) / (np.pi * s)))
+            total += (th2 - th1) * float(w @ ((numer or self.q_abs)(tau) / (np.pi * s)))
         return total
 
     def density_hat(self, tau, numer=None):
@@ -389,6 +381,10 @@ def _inverted_set(E: FiniteGapSet, x0: float) -> FiniteGapSet:
 
 
 def _solve(A, rhs, what: str) -> np.ndarray:
+    """Solve A x = rhs with rows scaled to unit max norm, or raise when the
+    scaled matrix is numerically singular."""
+    scale = 1.0 / np.abs(A).max(axis=1)
+    A, rhs = A * scale[:, None], rhs * scale
     if np.linalg.cond(A) > 1e13:
         raise IllConditionedError(f"{what} system is numerically singular")
     return np.linalg.solve(A, rhs)
@@ -402,9 +398,10 @@ class EquilibriumData:
     """Equilibrium measure of a finite-gap set.
 
     Q holds monomial coefficients (low to high) of the monic degree-(p-1)
-    polynomial in the original variable; robin = -log capacity.  The object
-    holds no quadrature rule, so results that keep it stay small; density
-    uses the set's cached core.
+    polynomial in the original variable, expanded from its zeros; they are
+    ill-conditioned at large p.  robin = -log capacity.  The object holds no
+    quadrature rule, so results that keep it stay small; density uses the
+    set's cached core.
     """
 
     E: FiniteGapSet
@@ -424,15 +421,12 @@ class EquilibriumData:
 @lru_cache(maxsize=64)
 def equilibrium(E: FiniteGapSet) -> EquilibriumData:
     core = _core(E)
-    # Q(t) = half^(p-1) * Qhat((t - center)/half), monic in t
-    q_t = P.Polynomial(core.qh)(P.Polynomial([-core.center / core.half, 1.0 / core.half]))
-    coeffs = q_t.coef * core.half ** (core.p - 1)
     return EquilibriumData(
         E=E,
-        Q=tuple(float(c) for c in coeffs),
+        Q=tuple(float(c) for c in P.polyfromroots(core.from_hat(core.z))),
         capacity=core.capacity,
         robin=-math.log(core.capacity),
-        _band_masses=tuple(float(core.weights[i:j].sum()) for i, j in core._band_slices),
+        _band_masses=tuple(float(m) for m in core.weights.reshape(core.p, -1).sum(axis=1)),
     )
 
 
@@ -505,14 +499,14 @@ def green(E: FiniteGapSet, pole: float = math.inf) -> GreenEvaluator:
         raise PoleOnSetError(f"pole {pole} lies on the set")
     core = _core_at(E, pole)
     crits = []
-    for k, zhat, gval in core._criticals_hat:
+    for k, (zhat, gval) in enumerate(zip(core.z, core.z_green)):
         if math.isinf(pole):
             gap, loc = E.gaps()[k], core.from_hat(zhat)
         else:
             s = core.from_hat(zhat)
             loc = math.inf if abs(s) < 1e-14 / max(E.diameter, 1.0) else pole + 1.0 / s
             gap = E.locate(loc)
-        crits.append(CriticalPoint(gap, loc, gval))
+        crits.append(CriticalPoint(gap, float(loc), float(gval)))
     return GreenEvaluator(E, pole, tuple(crits), sum(c.value for c in crits))
 
 
@@ -605,7 +599,7 @@ class HarmonicMeasure:
         core = _core_at(self.E, self.base)
         sings = w.kinks(self.E)
         total = 0.0
-        for j, (a, b) in enumerate(core.bands):
+        for j, (a, b) in enumerate(core.ends.reshape(-1, 2)):
             m, r = 0.5 * (a + b), 0.5 * (b - a)
             # t within a few ulps of a band end rounds onto it, where a weight
             # that vanishes at the end reads 0: w is sampled strictly inside
@@ -751,7 +745,11 @@ def szego_recip_poly(E: FiniteGapSet, zeros, x_star: float = math.inf, lead: flo
 
 @dataclass(frozen=True)
 class PairMeasure:
-    """omega_E(., c) + omega_E(., conj(c)) for a base pair off the real line."""
+    """omega_E(., c) + omega_E(., conj(c)) for a base pair off the real line.
+
+    _M holds the coefficients of M in the basis Q/(t - z_i), Q, t Q of
+    degree-p polynomials, built on the zeros z_i of the set's Q.
+    """
 
     E: FiniteGapSet
     base: complex
@@ -761,7 +759,7 @@ class PairMeasure:
         """|M(tau)| / |tau - c|^2 in normalized coordinates."""
         ch = complex((self.base - core.center) / core.half)
         M = np.asarray(self._M)
-        return lambda tau: np.abs(P.polyval(tau, M)) / np.abs(tau - ch) ** 2
+        return lambda tau: np.abs(_pair_basis(core, tau) @ M) / np.abs(tau - ch) ** 2
 
     def density(self, t):
         core = _core(self.E)
@@ -779,12 +777,11 @@ class PairMeasure:
         return self.mass(lo, hi)
 
 
-def _sqrt_R_branch(core: _Core, z: complex) -> complex:
-    """Branch of sqrt(R) with cuts on the bands only, ~ z^p at +infinity."""
-    out = complex(1.0)
-    for e in core.ends:
-        out *= cmath.sqrt(z - e)
-    return out
+def _pair_basis(core: _Core, tau) -> np.ndarray:
+    """Q/(tau - z_i), Q and tau Q at an array of points, along a new last axis."""
+    t = tau.ravel()
+    q, quo = core.q_parts(t)
+    return np.vstack([quo, q, t * q]).T.reshape(tau.shape + (core.p + 1,))
 
 
 @lru_cache(maxsize=64)
@@ -795,13 +792,16 @@ def conjugate_pair_measure(E: FiniteGapSet, base: complex) -> PairMeasure:
         raise ValueError("base must be non-real; use harmonic_measure for real bases")
     core = _core(E)
     ch = (base - core.center) / core.half
-    powers = [ch**i for i in range(core.p + 1)]
+    ch = complex(ch.real, abs(ch.imag))  # the pair's member in the upper half plane
 
     # M of degree p: residue condition at the base pair + gap period conditions
-    target = -(ch - ch.conjugate()) * _sqrt_R_branch(core, ch)
-    A = np.vstack(
-        [[x.real for x in powers], [x.imag for x in powers], core.gap_moments(core.order, core.p + 1, ch)]
-    )
+    # of M / (|tau - c|^2 sqrt|R|); sqrt(R) takes the branch of _Core._edge
+    a, b = core.ends[0::2], core.ends[1::2]
+    target = -2j * ch.imag * np.prod(_sqrt_uhp((ch - a) * (ch - b)))
+    at_c = _pair_basis(core, np.array(ch))
+    tau, base_w = core._theta_rule(2 * np.arange(core.p - 1) + 1, core.order)
+    gaps = np.einsum("knj,kn->kj", _pair_basis(core, tau), base_w / np.abs(tau - ch) ** 2)
+    A = np.vstack([at_c.real, at_c.imag, gaps])
     rhs = np.zeros(core.p + 1)
     rhs[0], rhs[1] = target.real, target.imag
     M = _solve(A, rhs, "pair-measure")

@@ -32,6 +32,13 @@ E3 = make_set([(-2, -1), (0, 1), (3, 4)])
 LOG2 = math.log(2.0)
 
 
+def equal_cells(p):
+    """p bands at 0.2-0.8 of each of p equal cells of [-1, 1]."""
+    cells = np.linspace(-1.0, 1.0, p + 1)
+    w = cells[1] - cells[0]
+    return make_set([(c + 0.2 * w, c + 0.8 * w) for c in cells[:-1]])
+
+
 # -- equilibrium ----------------------------------------------------------
 
 
@@ -241,7 +248,9 @@ def test_base_infinity_matches_equilibrium_density():
 
 
 def test_total_mass_one():
-    for E, base in [(E1, math.inf), (E1, 2.5), (E06, math.inf), (E06, 0.0), (E3, 2.0)]:
+    cases = [(E1, math.inf), (E1, 2.5), (E06, math.inf), (E06, 0.0), (E3, 2.0)]
+    cases += [(equal_cells(16), 1.3), (equal_cells(32), 1.3)]
+    for E, base in cases:
         hm = harmonic_measure(E, base)
         total = sum(hm.mass(a, b) for a, b in E.bands)
         assert abs(total - 1.0) < 1e-10
@@ -269,7 +278,9 @@ def test_base_on_set_rejected():
 
 
 def test_pair_measure_total_two():
-    for E, c in [(E1, 2 + 1j), (E06, 0.1 + 0.5j), (E3, -1.5 + 0.4j)]:
+    cases = [(E1, 2 + 1j), (E06, 0.1 + 0.5j), (E3, -1.5 + 0.4j)]
+    cases += [(equal_cells(p), c) for p in (16, 32, 64) for c in (0.1 + 0.2j, 0.05 + 0.01j, 3 + 1j)]
+    for E, c in cases:
         pm = conjugate_pair_measure(E, c)
         assert abs(pm.total() - 2.0) < 1e-9
 

@@ -84,12 +84,7 @@ def _csv_cell(v):
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
+        return _fmt_float(float(v)).strip('"')
     if v is None:
         return ""
     return str(v)
@@ -113,9 +108,20 @@ def _expect(cond: bool, path: str, msg: str):
         raise DescriptorError(path, msg)
 
 
-def _as_number(v, path):
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path, "expected a number")
+def _finite_at(v, path):
+    """A JSON number that is finite as a float; NaN, infinities, strings and
+    booleans are descriptor errors at `path`."""
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    _expect(ok, path, "expected a finite number")
     return float(v)
+
+
+def _weight_at(make, path, *args) -> Weight:
+    """A weight constructor's ValueError is a descriptor error at `path`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DescriptorError(path, str(exc)) from exc
 
 
 def parse_bands(doc) -> FiniteGapSet:
@@ -129,8 +135,8 @@ def parse_bands(doc) -> FiniteGapSet:
             f"/bands/{i}",
             "expected a pair [a, b]",
         )
-        a = _as_number(item[0], f"/bands/{i}/0")
-        b = _as_number(item[1], f"/bands/{i}/1")
+        a = _finite_at(item[0], f"/bands/{i}/0")
+        b = _finite_at(item[1], f"/bands/{i}/1")
         _expect(a < b, f"/bands/{i}", "need a < b")
         pairs.append((a, b))
     try:
@@ -153,24 +159,27 @@ def parse_weight(doc, path="/weight") -> Weight:
             f"{path}/coeffs",
             "expected nonempty coefficient list (low to high)",
         )
-        vals = [_as_number(c, f"{path}/coeffs/{i}") for i, c in enumerate(coeffs)]
-        return AbsPolyWeight(vals) if kind == "abs_poly" else RecipPolyWeight(vals)
+        vals = _list_at(coeffs, f"{path}/coeffs", _finite_at)
+        make = AbsPolyWeight if kind == "abs_poly" else RecipPolyWeight
+        return _weight_at(make, f"{path}/coeffs", vals)
     if kind == "semicircle":
         pairs = spec.get("pairs")
         _expect(isinstance(pairs, list) and pairs, f"{path}/pairs", "expected pair list")
         out = []
         for i, pr in enumerate(pairs):
             _expect(isinstance(pr, list) and len(pr) == 2, f"{path}/pairs/{i}", "expected [a, b]")
-            out.append((_as_number(pr[0], f"{path}/pairs/{i}/0"), _as_number(pr[1], f"{path}/pairs/{i}/1")))
-        return SemicircleWeight(out)
+            out.append(_list_at(pr, f"{path}/pairs/{i}", _finite_at))
+        return _weight_at(SemicircleWeight, f"{path}/pairs", out)
     if kind == "sampled":
         grid, values = spec.get("grid"), spec.get("values")
         _expect(isinstance(grid, list) and isinstance(values, list), f"{path}", "need grid and values lists")
         _expect(len(grid) == len(values) and len(grid) >= 2, f"{path}/values", "grid/values length mismatch")
-        return SampledWeight([float(g) for g in grid], [float(v) for v in values])
+        grid = _list_at(grid, f"{path}/grid", _finite_at)
+        values = _list_at(values, f"{path}/values", _finite_at)
+        return _weight_at(SampledWeight, f"{path}/grid", grid, values)
     if kind == "exp_inv_abs":
-        center = _as_number(spec.get("center", 0.0), f"{path}/center")
-        scale = _as_number(spec.get("scale", 1.0), f"{path}/scale")
+        center = _finite_at(spec.get("center", 0.0), f"{path}/center")
+        scale = _finite_at(spec.get("scale", 1.0), f"{path}/scale")
         return exp_inv_abs_weight(center, scale)
     if kind == "product":
         factors = spec.get("factors")
@@ -187,7 +196,7 @@ def parse_x_star(doc) -> float:
         return math.inf
     if v == "-inf":
         return -math.inf
-    return _as_number(v, "/x_star")
+    return _finite_at(v, "/x_star")
 
 
 def parse_n(doc) -> int:
@@ -219,7 +228,7 @@ def parse_options(doc, args) -> RemezOptions:
     _expect(isinstance(opts, dict), "/options", "expected an object")
     tol = args.tol if args.tol is not None else opts.get("tol", 1e-11)
     grid = args.grid if args.grid is not None else opts.get("grid", 2048)
-    tol = _as_number(tol, "/options/tol")
+    tol = _finite_at(tol, "/options/tol")
     _expect(0.0 < tol < 1.0, "/options/tol", "expected a number with 0 < tol < 1")
     _expect(isinstance(grid, int) and grid >= 64, "/options/grid", "expected an integer >= 64")
     return RemezOptions(tol=tol, grid=grid)
@@ -234,12 +243,6 @@ def solution_to_json(sol: ExtremalPoly) -> dict:
     del out["E"]
     out["coefficients"] = [float(c) for c in sol.coefficients()]
     return out
-
-
-def _finite_at(v, path):
-    x = _as_number(v, path)
-    _expect(math.isfinite(x), path, "expected a finite number")
-    return x
 
 
 def _positive_at(v, path):

@@ -288,24 +288,32 @@ def compute_band_set(frame: RationalFrame) -> BandSet:
     )
 
 
+def _poles(frame: RationalFrame):
+    """The retained real poles with multiplicity, and one base per conjugate
+    pair: its member in the upper half plane (build_rational_frame checks
+    that the retained poles close under conjugation)."""
+    poles = [complex(c) for c in frame.retained]
+    return [c.real for c in poles if c.imag == 0], [c for c in poles if c.imag > 0]
+
+
 def _green_exponent(bs: BandSet, z):
     """(d_n - r_n) g(z, inf) + sum over retained poles of g(z, c_j), elementwise.
 
     Each infinite or real pole takes one Green call over all points; a
-    complex pole c takes g(z, c) = g(c, z) point by point, for real z only.
+    conjugate pair {c, conj c} adds 2 g(z, c), exact for real z, taken point
+    by point as g(c, z) and for real z only.
     """
     frame = bs.frame
     z = np.asarray(z)
     total = (frame.d_n - frame.r_n) * green(bs.merged, math.inf)(z)
-    for c in frame.retained:
-        c = complex(c)
-        if c.imag == 0:
-            total = total + green(bs.merged, c.real)(z)
-        elif np.any(np.imag(z) != 0):
-            raise BothComplexError("complex z with complex poles is unsupported")
-        else:
-            g = [green_cross(bs.merged, x, c) for x in np.real(z).ravel()]
-            total = total + np.reshape(g, z.shape)
+    real, pairs = _poles(frame)
+    for c in real:
+        total = total + green(bs.merged, c)(z)
+    if pairs and np.any(np.imag(z) != 0):
+        raise BothComplexError("complex z with complex poles is unsupported")
+    for c in pairs:
+        g = [green_cross(bs.merged, x, c) for x in np.real(z).ravel()]
+        total = total + 2.0 * np.reshape(g, z.shape)
     return total
 
 
@@ -339,18 +347,8 @@ def verify_band_measures(bs: BandSet) -> BandMeasureReport:
     frame = bs.frame
     dr = frame.d_n - frame.r_n
     hm_inf = harmonic_measure(bs.merged, math.inf)
-    real_poles = [complex(c).real for c in frame.retained if complex(c).imag == 0]
-    hm_real = [harmonic_measure(bs.merged, c) for c in real_poles]
-    pair_bases = []
-    seen = set()
-    for c in frame.retained:
-        c = complex(c)
-        if c.imag == 0:
-            continue
-        key = (round(c.real, 12), round(abs(c.imag), 12))
-        if key not in seen:
-            seen.add(key)
-            pair_bases.append(complex(c.real, abs(c.imag)))
+    real, pair_bases = _poles(frame)
+    hm_real = [harmonic_measure(bs.merged, c) for c in real]
     pairs = [conjugate_pair_measure(bs.merged, c) for c in pair_bases]
 
     def combo(lo, hi):

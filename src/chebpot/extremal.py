@@ -13,9 +13,11 @@ serves every weight: the candidates are the band ends, the weight's
 kinks on E, and each strict local maximum of |f| on a cosine grid,
 polished inside its two grid cells by a parabolic step and two Newton
 steps on central differences, so the converged norm does not depend on
-the grid.  A normalization point in the unbounded gap reduces to the
-monic problem by rescaling, which is exact by the gap-continuity of the
-extremal polynomials.
+the grid.  One normalization functional on the Chebyshev coefficients,
+P(x*) or the leading coefficient for x* = inf, borders the linear system
+and rescales solutions between points of one gap; a normalization point
+in the unbounded gap reduces to the monic problem that way, which is
+exact by the gap-continuity of the extremal polynomials.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class ExtremalPoly:
         return self.center + self.half * roots_y
 
     def leading_coefficient(self) -> float:
-        c = self.cheb_coeffs[self.n] if len(self.cheb_coeffs) == self.n + 1 else 0.0
-        return c * 2.0 ** (self.n - 1) / self.half**self.n if self.n >= 1 else c
+        if len(self.cheb_coeffs) != self.n + 1:
+            return 0.0
+        return float(_norm_row(math.inf, self.center, self.half, self.n) @ self.cheb_coeffs)
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,17 @@ class AlternationReport:
     sign_residuals: tuple[float, ...]
     pattern_ok: bool
     passed: bool
+
+
+def _norm_row(x_star: float, center: float, half: float, n: int) -> np.ndarray:
+    """The normalization functional on Chebyshev coefficients c_0..c_n in
+    y = (x - center)/half: P(x*) for finite x*, the leading monomial
+    coefficient of P in x for infinite x*."""
+    if math.isinf(x_star):
+        row = np.zeros(n + 1)
+        row[n] = 2.0 ** max(n - 1, 0) / half**n
+        return row
+    return C.chebvander(np.array([(x_star - center) / half]), n)[0]
 
 
 def _sign_factor(x, x_star: float):
@@ -147,26 +161,15 @@ class _Workspace:
     # -- linear solve on a reference ------------------------------------
 
     def solve_system(self, ref: np.ndarray):
-        n, x_star = self.n, self.x_star
-        y = (ref - self.center) / self.half
-        wr = np.asarray(self.w(ref), dtype=float)
-        sr = _sign_factor(ref, x_star)
-        alt = (-1.0) ** np.arange(n + 1)
-        V = C.chebvander(y, n)
-        if math.isinf(x_star):
-            kappa = self.half**n * 2.0 ** (1 - n)
-            A = np.empty((n + 1, n + 1))
-            A[:, :n] = (wr * sr)[:, None] * V[:, :n]
-            A[:, n] = -alt
-            b = -(wr * sr) * kappa * V[:, n]
-        else:
-            y_star = (x_star - self.center) / self.half
-            A = np.zeros((n + 2, n + 2))
-            A[: n + 1, : n + 1] = (wr * sr)[:, None] * V
-            A[: n + 1, n + 1] = -alt
-            A[n + 1, : n + 1] = C.chebvander(np.array([y_star]), n)[0]
-            b = np.zeros(n + 2)
-            b[n + 1] = 1.0
+        """f(x_j) = (-1)^j h on the reference, bordered by the normalization."""
+        n = self.n
+        wr = np.asarray(self.w(ref), dtype=float) * _sign_factor(ref, self.x_star)
+        A = np.zeros((n + 2, n + 2))
+        A[: n + 1, : n + 1] = wr[:, None] * C.chebvander((ref - self.center) / self.half, n)
+        A[: n + 1, n + 1] = -((-1.0) ** np.arange(n + 1))
+        A[n + 1, : n + 1] = _norm_row(self.x_star, self.center, self.half, n)
+        b = np.zeros(n + 2)
+        b[n + 1] = 1.0
         scale = np.max(np.abs(A), axis=1)
         scale[scale == 0] = 1.0
         A /= scale[:, None]
@@ -175,13 +178,7 @@ class _Workspace:
             sol = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if math.isinf(x_star):
-            coeffs = np.append(sol[:n], kappa)
-            h = sol[n]
-        else:
-            coeffs = sol[: n + 1]
-            h = sol[n + 1]
-        return coeffs, h
+        return sol[: n + 1], sol[n + 1]
 
     # -- candidate extrema of |f| ----------------------------------------
 
@@ -286,7 +283,9 @@ def _initial_reference(ws: _Workspace) -> np.ndarray:
     raw = masses * total
     counts = np.floor(raw).astype(int)
     rem = total - counts.sum()
-    order = np.argsort(-(raw - counts))
+    # rounding noise in the masses must not break ties: equal shares go to
+    # the lower band index
+    order = np.argsort(-np.round(raw - counts, 9), kind="stable")
     for i in range(rem):
         counts[order[i % len(order)]] += 1
     pts = []
@@ -454,42 +453,27 @@ def renormalize(sol: ExtremalPoly, x_new: float) -> ExtremalPoly:
         sol.E.locate(sol.x_star) if not math.isinf(sol.x_star) else sol.E.gaps()[-1]
     )
     if math.isinf(x_new):
-        if not same_gap.bounded:
-            return _renorm_to_monic(sol)
-        raise DifferentGapError("infinity is not in the gap of the current x_star")
-    if sol.E.contains(x_new):
+        if same_gap.bounded:
+            raise DifferentGapError("infinity is not in the gap of the current x_star")
+        x_new = math.inf
+    elif sol.E.contains(x_new):
         raise PoleOnSetError(f"{x_new} lies on the set")
-    if not same_gap.contains(x_new):
+    elif not same_gap.contains(x_new):
         raise DifferentGapError(f"{x_new} is not in the same gap as {sol.x_star}")
     if x_new == sol.x_star:
         return sol
-    val = sol(x_new)
+    val = float(_norm_row(x_new, sol.center, sol.half, sol.n) @ sol.cheb_coeffs)
     if abs(val) < 1e-300:
-        raise ZeroAtPointError(f"polynomial vanishes at {x_new}")
-    coeffs = np.asarray(sol.cheb_coeffs) / val
-    signs = tuple(int(s * np.sign(val)) for s in sol.signs)
-    k_star = _k_star_of(sol.alternation, x_new)
+        raise ZeroAtPointError(
+            "degree dropped below n; no monic rescaling"
+            if math.isinf(x_new)
+            else f"polynomial vanishes at {x_new}"
+        )
     return replace(
         sol,
         x_star=x_new,
-        cheb_coeffs=tuple(float(c) for c in coeffs),
+        cheb_coeffs=tuple(float(c) for c in np.asarray(sol.cheb_coeffs) / val),
         t=sol.t / abs(val),
-        signs=signs,
-        k_star=k_star,
-    )
-
-
-def _renorm_to_monic(sol: ExtremalPoly) -> ExtremalPoly:
-    lead = sol.leading_coefficient()
-    if abs(lead) < 1e-300:
-        raise ZeroAtPointError("degree dropped below n; no monic rescaling")
-    coeffs = np.asarray(sol.cheb_coeffs) / lead
-    signs = tuple(int(s * np.sign(lead)) for s in sol.signs)
-    return replace(
-        sol,
-        x_star=math.inf,
-        cheb_coeffs=tuple(float(c) for c in coeffs),
-        t=sol.t / abs(lead),
-        signs=signs,
-        k_star=sol.n + 1,
+        signs=tuple(int(s * np.sign(val)) for s in sol.signs),
+        k_star=_k_star_of(sol.alternation, x_new),
     )

@@ -27,7 +27,6 @@ def _real_zeros_on(E: FiniteGapSet, zeros, tol: float = 0.0):
 class Weight:
     """Base weight; subclasses evaluate pointwise and describe structure."""
 
-    kind = "weight"
     is_unit = False
 
     def __call__(self, x):
@@ -61,7 +60,6 @@ class Weight:
 
 
 class UnitWeight(Weight):
-    kind = "unit"
     is_unit = True
 
     def __call__(self, x):
@@ -84,8 +82,6 @@ class UnitWeight(Weight):
 
 class AbsPolyWeight(Weight):
     """w(x) = |A(x)| for a real polynomial A given by monomial coefficients."""
-
-    kind = "abs_poly"
 
     def __init__(self, coeffs):
         coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
@@ -119,8 +115,6 @@ class AbsPolyWeight(Weight):
 
 class RecipPolyWeight(Weight):
     """w(x) = 1/|P_m(x)| for a real polynomial P_m with zeros off the set."""
-
-    kind = "recip_poly"
 
     def __init__(self, coeffs):
         coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
@@ -161,8 +155,6 @@ class RecipPolyWeight(Weight):
 class SemicircleWeight(Weight):
     """w(x) = prod_j sqrt((b_j - x)(x - a_j)), one factor per pair."""
 
-    kind = "semicircle"
-
     def __init__(self, pairs):
         self.pairs = tuple((float(a), float(b)) for a, b in pairs)
         if not self.pairs or any(a >= b for a, b in self.pairs):
@@ -193,8 +185,6 @@ class SemicircleWeight(Weight):
 class SampledWeight(Weight):
     """Piecewise-linear interpolant of sampled values, clipped at zero."""
 
-    kind = "sampled"
-
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -223,12 +213,9 @@ class CallableWeight(Weight):
     """Arbitrary nonnegative callable; used for weights outside the structured
     families (e.g. essential-singularity test weights)."""
 
-    kind = "callable"
-
-    def __init__(self, fn, singularities=(), label="callable", qualified=False):
+    def __init__(self, fn, singularities=(), qualified=False):
         self.fn = fn
         self.singularities = tuple(float(s) for s in singularities)
-        self.label = label
         self.qualified = qualified
 
     def __call__(self, x):
@@ -243,8 +230,6 @@ class CallableWeight(Weight):
 
 
 class ProductWeight(Weight):
-    kind = "product"
-
     def __init__(self, factors):
         self.factors = tuple(factors)
         if not self.factors:
@@ -289,4 +274,4 @@ def exp_inv_abs_weight(center: float, scale: float = 1.0) -> CallableWeight:
         with np.errstate(divide="ignore"):
             return np.where(d > 0, np.exp(-scale / np.where(d > 0, d, 1.0)), 0.0)
 
-    return CallableWeight(fn, singularities=(center,), label=f"exp(-{scale}/|x-{center}|)")
+    return CallableWeight(fn, singularities=(center,))

@@ -65,6 +65,28 @@ def test_computation_error_exit_one(tmp_path, capsys):
     assert "PoleOnSet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "update, path",
+    [
+        ({"x_star": math.nan}, "/x_star"),
+        ({"weight": {"kind": "recip_poly", "coeffs": [math.nan, 1]}}, "/weight/coeffs/0"),
+        ({"weight": {"kind": "abs_poly", "coeffs": [math.inf, 1]}}, "/weight/coeffs/0"),
+        ({"weight": {"kind": "sampled", "grid": [-1, "a"], "values": [1, 1]}}, "/weight/grid/1"),
+        ({"weight": {"kind": "sampled", "grid": [1, -1], "values": [1, 1]}}, "/weight/grid"),
+        ({"weight": {"kind": "semicircle", "pairs": [[1, -1]]}}, "/weight/pairs"),
+        ({"weight": {"kind": "exp_inv_abs", "center": math.nan}}, "/weight/center"),
+        ({"weight": {"kind": "recip_poly", "coeffs": [0.0]}}, "/weight/coeffs"),
+    ],
+    ids=["x_star_nan", "coeff_nan", "coeff_inf", "grid_string", "grid_decreasing",
+         "pair_reversed", "center_nan", "zero_poly"],
+)
+def test_bad_number_is_input_error(tmp_path, capsys, update, path):
+    doc = {"bands": [[-1, 1]], "weight": {"kind": "unit"}, "x_star": "inf", "n": 2, **update}
+    code, _ = run_cli(tmp_path, "solve", doc)
+    assert code == 2
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     doc = {
         "bands": [[-1, -0.6], [0.6, 1]],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
+from chebpot import extremal
 from chebpot.errors import (
     DifferentGapError,
     PoleOnSetError,
@@ -224,37 +225,68 @@ def test_verify_n1():
 
 
 def test_renormalize_identity():
-    sol = solve_extremal(E1, UNIT, 2.0, 2)
-    assert renormalize(sol, 2.0) is sol
+    for E, x, n in ((E1, 2.0, 2), (E3, 0.45, 3)):
+        sol = solve_extremal(E, UNIT, x, n)
+        assert renormalize(sol, x) is sol
 
 
 def test_renormalize_matches_direct_solve():
-    sol = solve_extremal(E1, UNIT, 2.0, 2)
-    moved = renormalize(sol, 3.0)
-    direct = solve_extremal(E1, UNIT, 3.0, 2)
-    assert abs(moved.t - direct.t) < 1e-9
-    x = np.linspace(-1, 1, 7)
-    np.testing.assert_allclose(moved(x), direct(x), atol=1e-9)
+    for E, x_old, x_new, n in ((E1, 2.0, 3.0, 2), (E3, 0.4, 0.5, 3)):
+        sol = solve_extremal(E, UNIT, x_old, n)
+        moved = renormalize(sol, x_new)
+        direct = solve_extremal(E, UNIT, x_new, n)
+        assert abs(moved.t - direct.t) < 1e-9
+        x = np.linspace(-1, 1, 7)
+        np.testing.assert_allclose(moved(x), direct(x), atol=1e-9)
 
 
 def test_renormalize_infinity_to_finite():
-    base = solve_extremal(E1, UNIT, math.inf, 3)
-    moved = renormalize(base, 2.0)
-    assert abs(moved(2.0) - 1.0) < 1e-14
-    direct = solve_extremal(E1, UNIT, 2.0, 3)
-    assert abs(moved.t - direct.t) < 1e-12
+    for E, x, n in ((E1, 2.0, 3), (E3, 1.5, 4)):
+        base = solve_extremal(E, UNIT, math.inf, n)
+        moved = renormalize(base, x)
+        assert abs(moved(x) - 1.0) < 1e-14
+        direct = solve_extremal(E, UNIT, x, n)
+        assert abs(moved.t - direct.t) < 1e-12
 
 
 def test_renormalize_finite_to_infinity():
-    base = solve_extremal(E1, UNIT, 2.0, 3)
-    mono = renormalize(base, math.inf)
-    assert abs(mono.leading_coefficient() - 1.0) < 1e-12
-    assert abs(mono.t - t_monic_chebyshev(3)) < 1e-12
+    for E, x, n in ((E1, 2.0, 3), (E3, 1.5, 4)):
+        base = solve_extremal(E, UNIT, x, n)
+        mono = renormalize(base, math.inf)
+        assert abs(mono.leading_coefficient() - 1.0) < 1e-12
+        t_ref = t_monic_chebyshev(n) if E is E1 else solve_extremal(E, UNIT, math.inf, n).t
+        assert abs(mono.t - t_ref) < 1e-12
+        # and back: finite -> inf -> finite returns the solution
+        back = renormalize(mono, x)
+        np.testing.assert_allclose(back.cheb_coeffs, base.cheb_coeffs, rtol=1e-12, atol=1e-14)
+        assert abs(back.t - base.t) < 1e-12 * base.t
+        assert (back.x_star, back.k_star, back.signs) == (base.x_star, base.k_star, base.signs)
 
 
 def test_renormalize_different_gap_rejected():
-    sol = solve_extremal(E06, UNIT, 0.0, 2)
-    with pytest.raises(DifferentGapError):
-        renormalize(sol, 2.0)
-    with pytest.raises(DifferentGapError):
-        renormalize(sol, math.inf)
+    for E, x, other in ((E06, 0.0, 2.0), (E3, 0.45, -0.35)):
+        sol = solve_extremal(E, UNIT, x, 2)
+        with pytest.raises(DifferentGapError):
+            renormalize(sol, other)
+        with pytest.raises(DifferentGapError):
+            renormalize(sol, math.inf)
+
+
+class _Masses:
+    def __init__(self, masses):
+        self.masses = np.array(masses)
+
+    def band_masses(self):
+        return self.masses
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_initial_reference_ignores_mass_rounding(monkeypatch, n):
+    # symmetric two-band masses that differ in the last bit split the start
+    # points the same way: ties go to the lower band
+    refs = []
+    for masses in ([0.49999999999999994, 0.5], [0.5, 0.5]):
+        monkeypatch.setattr(extremal, "equilibrium", lambda E, m=masses: _Masses(m))
+        refs.append(extremal._initial_reference(_Workspace(E06, UNIT, math.inf, n, RemezOptions())))
+    np.testing.assert_array_equal(refs[0], refs[1])
+    assert np.sum(refs[1] < 0) == n // 2 + 1

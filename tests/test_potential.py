@@ -42,6 +42,18 @@ def equal_cells(p):
 # -- equilibrium ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [11, 16, 160, 256, 2048])
+def test_fejer_rule(n):
+    u, w = potential._fejer(n)
+    assert u.shape == w.shape == (n,)
+    assert np.all((0 < u) & (u < 1)) and np.all(w > 0)
+    assert abs(w.sum() - 1.0) < 1e-15
+    for k in range(1, min(n, 40)):
+        assert abs(w @ u**k - 1.0 / (k + 1)) < 1e-15, k
+    if n % 2:  # cos(pi/2) rounds to 6e-17
+        assert abs(u[n // 2] - 0.5) <= 1e-16
+
+
 def test_capacity_interval():
     assert abs(equilibrium(E1).capacity - 0.5) < 1e-12
 

@@ -34,7 +34,7 @@ _UB_SLACK = 1e-6
 _TAIL_SLACK = 0.95
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WidomReport:
     """Per-degree bound check for one configuration."""
 
@@ -80,7 +80,7 @@ class WidomReport:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     rows: tuple[WidomReport, ...]
     tail_ns: tuple[int, ...]
@@ -92,7 +92,7 @@ class SweepResult:
     pass_tail_upper: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DichotomyReport:
     szego_log_integral: float  # -inf when divergent
     divergent: bool

@@ -116,10 +116,10 @@ def _finite_at(v, path):
     return float(v)
 
 
-def _weight_at(make, path, *args) -> Weight:
-    """A weight constructor's ValueError is a descriptor error at `path`."""
+def _made_at(make, path, *args, **kwargs):
+    """A constructor's ValueError is a descriptor error at `path`."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise DescriptorError(path, str(exc)) from exc
 
@@ -161,7 +161,7 @@ def parse_weight(doc, path="/weight") -> Weight:
         )
         vals = _list_at(coeffs, f"{path}/coeffs", _finite_at)
         make = AbsPolyWeight if kind == "abs_poly" else RecipPolyWeight
-        return _weight_at(make, f"{path}/coeffs", vals)
+        return _made_at(make, f"{path}/coeffs", vals)
     if kind == "semicircle":
         pairs = spec.get("pairs")
         _expect(isinstance(pairs, list) and pairs, f"{path}/pairs", "expected pair list")
@@ -169,14 +169,14 @@ def parse_weight(doc, path="/weight") -> Weight:
         for i, pr in enumerate(pairs):
             _expect(isinstance(pr, list) and len(pr) == 2, f"{path}/pairs/{i}", "expected [a, b]")
             out.append(_list_at(pr, f"{path}/pairs/{i}", _finite_at))
-        return _weight_at(SemicircleWeight, f"{path}/pairs", out)
+        return _made_at(SemicircleWeight, f"{path}/pairs", out)
     if kind == "sampled":
         grid, values = spec.get("grid"), spec.get("values")
         _expect(isinstance(grid, list) and isinstance(values, list), f"{path}", "need grid and values lists")
         _expect(len(grid) == len(values) and len(grid) >= 2, f"{path}/values", "grid/values length mismatch")
         grid = _list_at(grid, f"{path}/grid", _finite_at)
         values = _list_at(values, f"{path}/values", _finite_at)
-        return _weight_at(SampledWeight, f"{path}/grid", grid, values)
+        return _made_at(SampledWeight, f"{path}/grid", grid, values)
     if kind == "exp_inv_abs":
         center = _finite_at(spec.get("center", 0.0), f"{path}/center")
         scale = _finite_at(spec.get("scale", 1.0), f"{path}/scale")
@@ -227,11 +227,9 @@ def parse_options(doc, args) -> RemezOptions:
     opts = doc.get("options", {})
     _expect(isinstance(opts, dict), "/options", "expected an object")
     tol = args.tol if args.tol is not None else opts.get("tol", 1e-11)
-    grid = args.grid if args.grid is not None else opts.get("grid", 2048)
-    tol = _finite_at(tol, "/options/tol")
-    _expect(0.0 < tol < 1.0, "/options/tol", "expected a number with 0 < tol < 1")
-    _expect(isinstance(grid, int) and grid >= 64, "/options/grid", "expected an integer >= 64")
-    return RemezOptions(tol=tol, grid=grid)
+    grid = args.grid if args.grid is not None else opts.get("grid")
+    _made_at(RemezOptions, "/options/tol", tol=tol)
+    return _made_at(RemezOptions, "/options/grid", tol=tol, grid=grid)
 
 
 # -- solution (de)serialization -----------------------------------------------
@@ -492,7 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON problem descriptor")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-        p.add_argument("--grid", type=int, default=None, help="solver grid override")
+        p.add_argument(
+            "--grid",
+            type=int,
+            default=None,
+            help="cosine nodes per band for the extremum search; default max(256, 8(n+1))",
+        )
         p.add_argument(
             "--format",
             choices=("json", "csv", "both"),

@@ -13,16 +13,20 @@ serves every weight: the candidates are the band ends, the weight's
 kinks on E, and each strict local maximum of |f| on a cosine grid,
 polished inside its two grid cells by a parabolic step and two Newton
 steps on central differences, so the converged norm does not depend on
-the grid.  One normalization functional on the Chebyshev coefficients,
-P(x*) or the leading coefficient for x* = inf, borders the linear system
-and rescales solutions between points of one gap; a normalization point
-in the unbounded gap reduces to the monic problem that way, which is
-exact by the gap-continuity of the extremal polynomials.
+the grid.  The grid only brackets the maxima, so by default it is sized
+by the degree, max(256, 8(n+1)) nodes per band, and everything that
+depends on it alone is computed once per solve.  One normalization
+functional on the Chebyshev coefficients, P(x*) or the leading
+coefficient for x* = inf, borders the linear system and rescales
+solutions between points of one gap; a normalization point in the
+unbounded gap reduces to the monic problem that way, which is exact by
+the gap-continuity of the extremal polynomials.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +53,16 @@ _AUDIT_TOL = 1e-8
 @dataclass(frozen=True)
 class RemezOptions:
     tol: float = 1e-11  # relative equioscillation defect
-    grid: int = 2048  # cosine nodes per band for candidate supply
+    # cosine nodes per band bracketing the maxima of |f|; None sizes it by
+    # the degree, max(256, 8(n+1)): 8 nodes per half-oscillation or more
+    grid: int | None = None
+
+    def __post_init__(self):
+        tol, grid = self.tol, self.grid
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < 1.0:
+            raise ValueError(f"tol: expected a number with 0 < tol < 1, got {tol!r}")
+        if grid is not None and (isinstance(grid, bool) or not isinstance(grid, int) or grid < 64):
+            raise ValueError(f"grid: expected None or an integer >= 64, got {grid!r}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +163,18 @@ class _Workspace:
         self.E, self.w, self.x_star, self.n, self.opts = E, w, x_star, n, opts
         lo, hi = E.hull
         self.center, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.grid = sample_grid(E, opts.grid)
+        per_band = opts.grid if opts.grid is not None else max(256, 8 * (n + 1))
+        self.grid = sample_grid(E, per_band)
         self.wg = np.asarray(w(self.grid), dtype=float)
         if not np.any(self.wg > 0):
             raise WeightDegenerateError("weight vanishes on the whole grid")
+        # everything the extremum search needs of the grid, once per solve
+        self.y_g = (self.grid - self.center) / self.half
+        self.sw_g = _sign_factor(self.grid, x_star) * self.wg
+        # interior nodes whose bracket stays inside one band; band ends are candidates anyway
+        pos = np.arange(1, self.grid.size - 1) % per_band
+        self.inner = (pos != 0) & (pos != per_band - 1)
+        self.norm = _norm_row(x_star, self.center, self.half, n)
         # candidates in every iteration: band ends and the weight's kinks on E
         ends = [e for ab in E.bands for e in ab]
         self.fixed = np.asarray(ends + [t for t in w.kinks(E) if E.contains(t)], dtype=float)
@@ -167,7 +188,7 @@ class _Workspace:
         A = np.zeros((n + 2, n + 2))
         A[: n + 1, : n + 1] = wr[:, None] * C.chebvander((ref - self.center) / self.half, n)
         A[: n + 1, n + 1] = -((-1.0) ** np.arange(n + 1))
-        A[n + 1, : n + 1] = _norm_row(self.x_star, self.center, self.half, n)
+        A[n + 1, : n + 1] = self.norm
         b = np.zeros(n + 2)
         b[n + 1] = 1.0
         scale = np.max(np.abs(A), axis=1)
@@ -198,12 +219,10 @@ class _Workspace:
         fell goes back to its best iterate and stops.  The last iterate is
         returned beside the best one where it moved.
         """
-        g, af = self.grid, np.abs(self.f_of(coeffs, self.grid))
-        i = np.arange(1, af.size - 1)
+        g, af = self.grid, np.abs(self.sw_g * C.chebval(self.y_g, coeffs))
+        mid = af[1:-1]
         # strict on the right: a flat stretch of |f| yields at most one node
-        i = i[(af[i] >= af[i - 1]) & (af[i] > af[i + 1]) & (af[i] > 0)]
-        # a bracket must not straddle a gap; band ends are candidates anyway
-        i = i[(i % self.opts.grid != 0) & (i % self.opts.grid != self.opts.grid - 1)]
+        i = 1 + np.nonzero(self.inner & (mid >= af[:-2]) & (mid > af[2:]) & (mid > 0))[0]
         lo, best, hi = g[i - 1], g[i], g[i + 1]
         f0, fbest, f2 = af[i - 1], af[i], af[i + 1]
         num = (best - lo) ** 2 * (fbest - f2) - (best - hi) ** 2 * (fbest - f0)
@@ -426,7 +445,8 @@ def solve_extremal(
 
 def verify_alternation(sol: ExtremalPoly, E: FiniteGapSet, w: Weight) -> AlternationReport:
     """Audit a candidate solution against the alternation characterization."""
-    ws = _Workspace(E, w, sol.x_star, sol.n, RemezOptions(grid=_AUDIT_GRID))
+    grid = max(_AUDIT_GRID, 16 * (sol.n + 1))  # twice the default solve grid's density
+    ws = _Workspace(E, w, sol.x_star, sol.n, RemezOptions(grid=grid))
     _, f = ws.candidates(np.asarray(sol.cheb_coeffs))
     audit_max = float(np.max(np.abs(f)))
     pts = np.asarray(sol.alternation)

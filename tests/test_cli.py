@@ -187,7 +187,7 @@ def test_dumps_sorted_keys_and_types():
     assert parsed == {"a": "x", "b": [1, 2.5, None, True]}
 
 
-@pytest.mark.parametrize("tol", [-1, 0, 1, 2.5])
+@pytest.mark.parametrize("tol", [-1, 0, 1, 2.5, math.nan, "small", True])
 def test_tol_out_of_range_is_input_error(tmp_path, capsys, tol):
     doc = {"bands": [[-1, 1]], "n": 3, "options": {"tol": tol}}
     code, out = run_cli(tmp_path, "solve", doc)
@@ -246,3 +246,39 @@ def test_embedded_solution_not_an_object(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "enset", solved)
     assert code == 2
     assert "/solution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [3, 2048.0, True, "2048"])
+def test_grid_option_is_input_error(tmp_path, capsys, grid):
+    doc = {"bands": [[-1, 1]], "n": 3, "options": {"grid": grid}}
+    code, out = run_cli(tmp_path, "solve", doc)
+    assert code == 2
+    assert "/options/grid" in capsys.readouterr().err
+    assert not (out / "solve.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, path", [("--grid", "3", "/options/grid"), ("--tol", "nan", "/options/tol")])
+def test_option_flag_is_input_error(tmp_path, capsys, flag, value, path):
+    code, _ = run_cli(tmp_path, "solve", {"bands": [[-1, 1]], "n": 3}, flag, value)
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "options, args, grid",
+    [({}, (), None), ({"grid": None}, (), None), ({}, ("--grid", "2048"), 2048)],
+    ids=["default", "null", "flag_2048"],
+)
+def test_cli_grid_matches_library(tmp_path, options, args, grid):
+    from chebpot.extremal import RemezOptions, solve_extremal
+    from chebpot.realset import make_set
+    from chebpot.weights import RecipPolyWeight
+
+    w = {"kind": "recip_poly", "coeffs": [0.25, 0.0, 1.0]}
+    doc = {"bands": [[-1, -0.5], [-0.2, 0.3], [0.6, 1]], "weight": w, "x_star": 0.45, "n": 30, "options": options}
+    code, out = run_cli(tmp_path, "solve", doc, *args)
+    assert code == 0
+    t = json.loads((out / "solve.json").read_text())["solution"]["t"]
+    E = make_set([(-1, -0.5), (-0.2, 0.3), (0.6, 1)])
+    sol = solve_extremal(E, RecipPolyWeight([0.25, 0.0, 1.0]), 0.45, 30, RemezOptions(grid=grid))
+    assert t == sol.t

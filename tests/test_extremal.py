@@ -95,20 +95,60 @@ TENT = SampledWeight([-1, 0.3137, 1], [0.2, 1, 0.3])
 
 
 @pytest.mark.parametrize(
-    "E, w, n",
+    "E, w, x_star, n",
     [
-        (E1, AbsPolyWeight([-0.3, 1.0]), 7),
-        (E1, exp_inv_abs_weight(0.2), 16),
-        (E1, exp_inv_abs_weight(0.2), 40),
-        (E3, SampledWeight(np.linspace(-1, 1, 9), [1, 0.6, 1.4, 0.8, 1, 0.5, 1.2, 0.9, 1.1]), 8),
-        (E1, TENT, 5),
+        (E1, AbsPolyWeight([-0.3, 1.0]), math.inf, 7),
+        (E1, exp_inv_abs_weight(0.2), math.inf, 16),
+        (E1, exp_inv_abs_weight(0.2), math.inf, 40),
+        (E3, SampledWeight(np.linspace(-1, 1, 9), [1, 0.6, 1.4, 0.8, 1, 0.5, 1.2, 0.9, 1.1]), math.inf, 8),
+        (E1, TENT, math.inf, 5),
+        (E1, UNIT, math.inf, 128),
+        (E3, RecipPolyWeight([0.25, 0.0, 1.0]), 0.45, 30),
     ],
-    ids=["abs_poly", "exp_inv_abs_n16", "exp_inv_abs_n40", "sampled_three_band", "tent"],
+    ids=["abs_poly", "exp_inv_abs_n16", "exp_inv_abs_n40", "sampled_three_band", "tent",
+         "unit_n128", "recip_quadratic_three_band"],
 )
-def test_grid_refinement_stability(E, w, n):
-    a, b, c = (solve_extremal(E, w, math.inf, n, RemezOptions(grid=g)) for g in (256, 2048, 4096))
-    assert abs(a.t - b.t) < 1e-9 * b.t
-    assert abs(c.t - b.t) < 1e-9 * b.t
+def test_grid_refinement_stability(E, w, x_star, n):
+    b = solve_extremal(E, w, x_star, n, RemezOptions(grid=2048))
+    for g in (256, 4096, None):  # None: the default grid, sized by the degree
+        other = solve_extremal(E, w, x_star, n, RemezOptions(grid=g))
+        assert abs(other.t - b.t) < 1e-9 * b.t
+
+
+@pytest.mark.parametrize(
+    "n, grid, size",
+    [(5, None, 3 * 256), (31, None, 3 * 256), (40, None, 3 * 328), (200, None, 3 * 1608), (40, 300, 3 * 300)],
+)
+def test_grid_size_follows_degree(n, grid, size):
+    # the default is max(256, 8(n+1)) nodes per band; an explicit grid is used as given
+    assert _Workspace(E3, UNIT, math.inf, n, RemezOptions(grid=grid)).grid.size == size
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"grid": 3}, "grid"),
+        ({"grid": 63}, "grid"),
+        ({"grid": 2048.0}, "grid"),
+        ({"grid": True}, "grid"),
+        ({"grid": "2048"}, "grid"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"tol": 1.0}, "tol"),
+        ({"tol": -1e-11}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"tol": "1e-11"}, "tol"),
+    ],
+)
+def test_options_reject_bad_fields(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        RemezOptions(**kwargs)
+
+
+def test_options_accept_limits():
+    assert RemezOptions(grid=64, tol=0.5).grid == 64
+    assert RemezOptions().grid is None
 
 
 def test_maximum_on_weight_kink():

@@ -236,10 +236,9 @@ def parse_options(doc, args) -> RemezOptions:
 
 
 def solution_to_json(sol: ExtremalPoly) -> dict:
-    """The solution's fields except the set, plus its monomial coefficients."""
+    """The solution's fields except the set."""
     out = asdict(sol)
     del out["E"]
-    out["coefficients"] = [float(c) for c in sol.coefficients()]
     return out
 
 

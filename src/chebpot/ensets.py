@@ -5,9 +5,12 @@ R_n = +-T/P_m with common zeros cancelled.  The level set
 
     e_n = { x : |R_n(x)| <= t_n }
 
-is a union of d_n = deg(T) - m + r_n closed bands, each mapped bijectively
-onto [-t_n, t_n] by R_n; the original set is contained in it.  The band
-masses satisfy
+is a union of d_n = deg(T) - m + r_n closed bands, each holding one zero of
+R_n and mapped bijectively onto [-t_n, t_n] by it, with at most one zero
+per gap (Christiansen-Simon-Zinchenko, Invent. Math. 208, 2017); the
+original set is contained in it.  R_n is held by its zeros and poles, and
+one bracketed root finder gives T's zeros, the critical points of |R_n|
+and the level crossings.  The band masses satisfy
 
     (d_n - r_n) omega(I, inf) + sum_{j <= r_n} omega(I, c_j) = 1
 
@@ -19,10 +22,10 @@ pair measures for complex pole pairs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import (
     AmbiguousCancellationError,
@@ -31,26 +34,31 @@ from .errors import (
     BothComplexError,
     PointOnSetError,
 )
-from .extremal import ExtremalPoly, RemezOptions, solve_extremal
+from .extremal import ExtremalPoly, RemezOptions, bracketed_roots, solve_extremal
 from .potential import (
     conjugate_pair_measure,
     green,
     green_cross,
     harmonic_measure,
 )
-from .realset import FiniteGapSet, make_set
+from .realset import FiniteGapSet, make_set, sample_grid
 from .weights import Weight
 
 CANCEL_TOL_FACTOR = 1e-8
+_AUDIT_NODES = 64  # cosine nodes per band of E in the containment audit
 
 
 @dataclass(frozen=True)
 class RationalFrame:
-    """R_n = sign * T/P_m with cancelled zeros removed.
+    """R_n = sign * T/P_m with cancelled zeros removed, in product form:
 
-    num/den hold Chebyshev coefficients (hull coordinates of the solution)
-    of the reduced numerator and denominator; retained poles are listed
-    with multiplicity and closed under conjugation.
+        R_n(x) = scale * prod_i (x - zeros_i) / prod_j (x - retained_j).
+
+    zeros are T's real zeros left after cancellation, sorted, one per band
+    of the level set; retained poles are listed with multiplicity and close
+    under conjugation.  R_n is positive at x* (its principal part is, where
+    x* is a pole; its leading coefficient is, for x* = inf), and |R_n| = t
+    at the alternation points in geometric mean.
     """
 
     sol: ExtremalPoly
@@ -60,19 +68,33 @@ class RationalFrame:
     r_n: int
     d_n: int
     n0: int
-    num: tuple[float, ...]
-    den: tuple[float, ...]
+    zeros: tuple[float, ...]
+    scale: float
 
     @property
     def t(self) -> float:
         return self.sol.t
 
-    def __call__(self, z):
-        y = (np.asarray(z) - self.sol.center) / self.sol.half
-        val = self.sign * C.chebval(y, np.asarray(self.num)) / C.chebval(
-            y, np.asarray(self.den)
-        )
-        return float(val) if np.isscalar(z) else val
+    @cached_property
+    def _nodes(self):
+        """Zeros and poles with exponents +1 and -1; complex only if a pole is."""
+        poles = np.asarray(self.retained, dtype=complex)
+        nodes = np.concatenate([self.zeros, poles if poles.imag.any() else poles.real])
+        return nodes, np.repeat([1.0, -1.0], [len(self.zeros), len(poles)])
+
+    def _parts(self, x):
+        """x - nodes, one row per real point x, and log|R_n(x)|."""
+        nodes, exps = self._nodes
+        diff = np.asarray(x, dtype=float)[..., None] - nodes
+        return diff, math.log(abs(self.scale)) + np.log(np.abs(diff)) @ exps
+
+    @np.errstate(divide="ignore")  # R_n = 0 at a zero, +-inf at a pole
+    def __call__(self, x):
+        """R_n at real x."""
+        diff, lr = self._parts(x)
+        flips = np.count_nonzero((diff.real < 0) & (diff.imag == 0), -1)
+        val = np.copysign(np.exp(lr), self.scale) * (-1.0) ** flips
+        return float(val) if np.isscalar(x) else val
 
 
 @dataclass(frozen=True)
@@ -137,20 +159,18 @@ def build_rational_frame(
         raise BelowN0Error(f"n = {sol.n} is below n0 = {n0}")
 
     tol = CANCEL_TOL_FACTOR * E.diameter
-    t_zeros = list(sol.zeros())
-    cancelled: list[complex] = []
-    retained: list[complex] = []
-    for c in zeros_p:
-        c = complex(c)
-        if t_zeros:
-            dists = [abs(z - c) for z in t_zeros]
-            k = int(np.argmin(dists))
-            d = dists[k]
-        else:
-            d = math.inf
+    t_zeros = sol.zeros()
+    zeros, cancelled, retained = list(t_zeros), [], []
+    for c in map(complex, zeros_p):
+        if c.imag:  # only a non-real zero of T can cancel it: its Newton distance
+            p, dp, _ = sol.derivatives()(c)
+            d, k = abs(p / dp), None
+        else:  # the nearest real zero of T
+            d, k = min(((abs(z - c.real), i) for i, z in enumerate(zeros)), default=(math.inf, None))
         if d <= tol:
             cancelled.append(c)
-            t_zeros.pop(k)
+            if k is not None:
+                zeros.pop(k)
         elif d <= 10 * tol:
             raise AmbiguousCancellationError(
                 f"zero pair at distance {d:.3e} (tolerance {tol:.3e})"
@@ -161,131 +181,107 @@ def build_rational_frame(
     d_n = sol.degree - m + r_n
     if d_n < 1:
         raise BelowN0Error(f"rational frame has no pole at infinity (d_n - r_n = {d_n - r_n})")
+    if len(zeros) != d_n:
+        raise BandCountMismatchError(f"T has {len(zeros)} real zeros left after cancellation, expected {d_n}")
+    pairs = np.asarray([c for c in retained if c.imag])
+    if not np.allclose(np.sort_complex(pairs), np.sort_complex(pairs.conj()), rtol=0.0, atol=1e-9):
+        raise AmbiguousCancellationError("retained complex poles do not close under conjugation")
 
-    center, half = sol.center, sol.half
-    num = C.chebtrim(np.asarray(sol.cheb_coeffs), tol=0.0)
-    for z in cancelled:
-        # (x - z) = half * (y - y0): divide by the y-factor, then by half
-        fac = np.array([-((complex(z).real - center) / half), 1.0])
-        num, _ = C.chebdiv(num, fac)
-        num = num / half
-    den = np.array([float(lead)])
-    used = [False] * r_n
-    for i, c in enumerate(retained):
-        if used[i]:
-            continue
-        c = complex(c)
-        if abs(c.imag) < 1e-13 * max(1.0, E.diameter):
-            den = C.chebmul(den, np.array([-((c.real - center) / half), 1.0]))
-            used[i] = True
-        else:
-            mate = None
-            for j in range(i + 1, r_n):
-                if not used[j] and abs(complex(retained[j]) - c.conjugate()) < 1e-9:
-                    mate = j
-                    break
-            if mate is None:
-                raise AmbiguousCancellationError(
-                    "retained complex poles do not close under conjugation"
-                )
-            used[i] = used[mate] = True
-            y0 = (c - center) / half
-            den = C.chebmul(den, C.poly2cheb(np.array([abs(y0) ** 2, -2 * y0.real, 1.0])))
-    # scale: each linear factor (x - c) = half*(y - y0) contributes a factor half
-    den = den * half ** (r_n)
-
-    sign = _frame_sign(sol, num, den, retained, center, half)
-    return RationalFrame(
-        sol=sol,
-        sign=sign,
-        retained=tuple(retained),
-        cancelled=tuple(cancelled),
-        r_n=r_n,
-        d_n=d_n,
-        n0=n0,
-        num=tuple(float(v) for v in num),
-        den=tuple(float(v) for v in den),
-    )
+    # R_n > 0 at x*: one sign per real zero and real pole, none for poles at x*
+    x_star, s = sol.x_star, 1.0
+    if not math.isinf(x_star):
+        off = [c.real for c in retained if not c.imag and abs(c.real - x_star) >= 1e-12 * max(1.0, sol.half)]
+        s = np.prod(np.sign(x_star - np.concatenate([zeros, off])))
+    frame = RationalFrame(sol, 1, tuple(retained), tuple(cancelled), r_n, d_n, n0, tuple(map(float, zeros)), 1.0)
+    alt = np.asarray(sol.alternation)
+    scale = s * math.exp(math.log(sol.t) - float(np.mean(frame._parts(alt)[1])))
+    # R_n = sign T/P_m: T's leading coefficient has T's sign at an
+    # alternation point times one sign per real zero of T
+    sign = s * sol.signs[0] * np.prod(np.sign(alt[0] - t_zeros)) * np.sign(lead)
+    return replace(frame, sign=int(sign), scale=scale)
 
 
-def _frame_sign(sol, num, den, retained, center, half) -> int:
-    """Sign making R positive at x*, or its principal part positive at a pole."""
-    x_star = sol.x_star
-    if math.isinf(x_star):
-        # leading Laurent coefficient at infinity: lead(num)/lead(den)
-        lead_num = num[-1] * 2.0 ** (len(num) - 2) if len(num) > 1 else num[-1]
-        lead_den = den[-1] * 2.0 ** (len(den) - 2) if len(den) > 1 else den[-1]
-        val = lead_num / lead_den
-    else:
-        y_star = (x_star - center) / half
-        dver = C.chebval(y_star, den)
-        k = sum(1 for c in retained if abs(complex(c) - x_star) < 1e-12 * max(1.0, half))
-        if k == 0:
-            val = C.chebval(y_star, num) / dver
-        else:
-            # remove the (x - x*)^k factors before evaluating
-            red = np.asarray(den)
-            for _ in range(k):
-                red, _ = C.chebdiv(red, np.array([-y_star, 1.0]))
-                red = red / half  # undo the linear-factor scale
-            val = C.chebval(y_star, num) / C.chebval(y_star, red)
-    return 1 if val > 0 else -1
+def _log_derivs(frame: RationalFrame, x, level: float = 0.0):
+    """log|R_n| - level and the first three derivatives of log|R_n| at real x."""
+    diff, lr = frame._parts(x)
+    exps = frame._nodes[1]
+    inv = 1.0 / diff
+    inv2 = inv * inv
+    return lr - level, (inv @ exps).real, -(inv2 @ exps).real, 2.0 * ((inv2 * inv) @ exps).real
 
 
+@np.errstate(divide="ignore")  # log|R_n| = -inf at a zero
 def compute_band_set(frame: RationalFrame) -> BandSet:
-    """Locate all bands of the level set |R_n| <= t_n."""
-    t = frame.t
-    num = np.asarray(frame.num)
-    den = np.asarray(frame.den)
-    ln = max(num.size, den.size)
-    pad = lambda a: np.pad(a, (0, ln - a.size))
-    zeros_y = C.chebroots(num)
-    zeros_y = np.sort(zeros_y[np.abs(zeros_y.imag) < 1e-7].real)
-    if zeros_y.size != frame.d_n:
-        raise BandCountMismatchError(
-            f"found {zeros_y.size} real zeros of R, expected {frame.d_n}"
-        )
-    levels = []
-    for sgn in (+1.0, -1.0):
-        poly = pad(num) * frame.sign - sgn * t * pad(den)
-        rts = C.chebroots(C.chebtrim(poly, tol=1e-14 * np.max(np.abs(poly))))
-        levels.append(rts[np.abs(rts.imag) < 1e-6].real)
-    levels = np.sort(np.concatenate(levels))
-    if levels.size < 2 * frame.d_n:
-        raise BandCountMismatchError(
-            f"found {levels.size} level crossings, expected {2 * frame.d_n}"
-        )
-    bands = []
-    for z in zeros_y:
-        left = levels[levels <= z + 1e-14]
-        right = levels[levels >= z - 1e-14]
-        if left.size == 0 or right.size == 0:
-            raise BandCountMismatchError("zero of R without flanking level crossings")
-        bands.append((float(left[-1]), float(right[0])))
+    """Locate all bands of the level set |R_n| <= t_n.
 
-    sol = frame.sol
-    to_x = lambda y: sol.center + sol.half * y
-    bands_x = [(to_x(a), to_x(b)) for a, b in bands]
-    span = bands_x[-1][1] - bands_x[0][0]
-    if any(b <= a for a, b in bands_x) or any(
-        bands_x[i + 1][0] < bands_x[i][1] - 1e-10 * span
-        for i in range(len(bands_x) - 1)
-    ):
-        raise BandCountMismatchError("level-set bands are not sorted and disjoint")
-    merged = make_set(bands_x, merge_tol=1e-7 * span)
+    Between two consecutive zeros with no real pole between them |R_n| has
+    one critical point.  Where |R_n| is t there, to the certificate's
+    tolerance, it is the shared end of two touching bands; otherwise one
+    crossing of the level lies on each side of it, found like the outer
+    crossings, which end at a real pole or at infinity.  A crossing just
+    outside an end of E that is an alternation point with |R_n| = t to that
+    tolerance moves onto it.
+    """
+    sol, t = frame.sol, frame.t
+    log_t, zeros, alt = math.log(t), np.asarray(frame.zeros), np.asarray(sol.alternation)
+    ends, d = np.asarray(sol.E.bands), len(frame.zeros)
+    slack = 4 * sol.defect + 1e-12
 
-    # containment and level residual audit
-    from .realset import sample_grid
+    # each band lies between the real poles around its zero ...
+    real = np.sort(_poles(frame)[0])
+    k = np.searchsorted(real, zeros)
+    lim_lo, lim_hi = np.concatenate([[-math.inf], real, [math.inf]])[[k, k + 1]]
+    # ... and the critical points between zeros with no pole between them,
+    # started at the alternation point there (where bands touch) unless it
+    # is an end of E, else halfway
+    inner = np.flatnonzero(k[:-1] == k[1:])
+    lo, hi = zeros[inner], zeros[inner + 1]
+    guess = alt[np.minimum(np.searchsorted(alt, lo), alt.size - 1)]
+    guess = np.where((guess[:, None] == ends.ravel()).any(1), 0.5 * (lo + hi), guess)
+    crit = bracketed_roots(lambda x: _log_derivs(frame, x)[1:], lo, hi, False, guess, hi - lo)
+    ratio = np.exp(frame._parts(crit)[1] - log_t)
+    if np.any(ratio < 1 - slack):
+        raise BandCountMismatchError(f"two bands overlap: |R|/t = {ratio.min():.3e} between their zeros")
+    lim_hi[inner] = lim_lo[inner + 1] = crit
+    shared = np.zeros(d + 1, dtype=bool)  # shared[j]: bands j - 1 and j touch
+    shared[inner[ratio <= 1 + slack] + 1] = True
 
-    audit = sample_grid(sol.E, 64)
-    ratio = float(np.max(np.abs(frame(audit))) / t)
-    edges = np.array([e for ab in bands_x for e in ab])
-    level_res = float(np.max(np.abs(np.abs(frame(edges)) - t)) / t)
-    ok = ratio <= 1 + 1e-9 and level_res <= 1e-7
-    report = ContainmentReport(max_ratio=ratio, level_residual=level_res, ok=ok)
-    return BandSet(
-        bands=tuple(bands_x), level=t, frame=frame, merged=merged, report=report
-    )
+    # the crossings, started at the nearest alternation point past the zero
+    # if it lies in the bracket, else at the zero's linearization offset
+    # u = t/|R_n'(zeta)|, which also scales the bracket
+    diff = frame._parts(zeros)[0]
+    np.fill_diagonal(diff[:, :d], 1.0)
+    u = np.exp(log_t - math.log(abs(frame.scale)) - np.log(np.abs(diff)) @ frame._nodes[1])
+    jl, jr = np.flatnonzero(~shared[:-1]), np.flatnonzero(~shared[1:])
+    lo, hi = np.concatenate([lim_lo[jl], zeros[jr]]), np.concatenate([zeros[jl], lim_hi[jr]])
+    up = np.arange(lo.size) >= jl.size
+    k = np.searchsorted(alt, np.where(up, lo, hi))
+    guess = alt[np.clip(np.where(up, k, k - 1), 0, alt.size - 1)]
+    offset = np.concatenate([-u[jl], u[jr]])
+    guess = np.where((guess > lo) & (guess < hi), guess, zeros[np.concatenate([jl, jr])] + offset)
+    x = bracketed_roots(lambda x: _log_derivs(frame, x, log_t)[:3], lo, hi, up, guess, np.abs(offset))
+    left, right = lim_lo, lim_hi
+    left[jl], right[jr] = x[: jl.size], x[jl.size :]
+
+    # snap onto the ends of E; the audit grid of E holds them first and last per band
+    lr_audit = frame._parts(sample_grid(sol.E, _AUDIT_NODES))[1]
+    lr_ends = lr_audit.reshape(-1, _AUDIT_NODES)[:, [0, -1]]
+    on_level = (ends[..., None] == alt).any(-1) & (np.exp(lr_ends - log_t) >= 1 - slack)
+    ia = np.searchsorted(ends[:, 0], zeros, "right") - 1  # last left end of E before each zero
+    snap = (ia >= 0) & ~shared[:-1] & on_level[ia, 0] & (left < ends[ia, 0])
+    left[snap] = ends[ia[snap], 0]
+    ib = np.minimum(np.searchsorted(ends[:, 1], zeros), len(ends) - 1)  # first right end after
+    snap = (ends[ib, 1] >= zeros) & ~shared[1:] & on_level[ib, 1] & (right > ends[ib, 1])
+    right[snap] = ends[ib[snap], 1]
+
+    if np.any(right <= left):
+        j = int(np.argmax(right <= left))
+        raise BandCountMismatchError(f"band {j + 1} around {zeros[j]:.17g} is narrower than float64 can place")
+    bands = tuple(zip(left.tolist(), right.tolist()))
+    level_res = float(np.max(np.abs(np.exp(frame._parts(np.ravel(bands))[1] - log_t) - 1)))
+    ratio = float(np.exp(lr_audit.max() - log_t))
+    report = ContainmentReport(max_ratio=ratio, level_residual=level_res, ok=ratio <= 1 + 1e-9 and level_res <= 1e-7)
+    return BandSet(bands=bands, level=t, frame=frame, merged=make_set(bands), report=report)
 
 
 def _poles(frame: RationalFrame):

@@ -34,6 +34,7 @@ from numpy.polynomial import chebyshev as C
 
 from .errors import (
     DifferentGapError,
+    IllConditionedError,
     NoConvergenceError,
     PoleOnSetError,
     WeightDegenerateError,
@@ -48,6 +49,8 @@ _MAX_ITER = 80
 _NEWTON_STEPS = 2  # polishing steps per grid maximum
 _AUDIT_GRID = 4096  # cosine nodes per band for verify_alternation
 _AUDIT_TOL = 1e-8
+_ROOT_STEPS = 64  # cap on bracket doublings and on Halley steps in bracketed_roots
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,22 +95,26 @@ class ExtremalPoly:
         val = C.chebval(y, np.asarray(self.cheb_coeffs))
         return float(val) if np.isscalar(x) else val
 
-    def coefficients(self) -> np.ndarray:
-        """Monomial coefficients in x, low to high, length n+1."""
-        poly_y = C.cheb2poly(np.asarray(self.cheb_coeffs))
-        comp = np.polynomial.polynomial.Polynomial(poly_y)(
-            np.polynomial.polynomial.Polynomial(
-                [-self.center / self.half, 1.0 / self.half]
-            )
-        )
-        out = np.zeros(self.n + 1)
-        out[: comp.coef.size] = comp.coef
-        return out
+    def derivatives(self):
+        """A function of real or complex x returning P, P' and P''."""
+        c = np.append(self.cheb_coeffs, [0.0, 0.0])
+        cols = np.stack([c[:-2], C.chebder(c, 1, 1 / self.half)[:-1], C.chebder(c, 2, 1 / self.half)], axis=1)
+        return lambda x: C.chebval((np.asarray(x) - self.center) / self.half, cols)
 
     def zeros(self) -> np.ndarray:
-        coeffs = C.chebtrim(np.asarray(self.cheb_coeffs), tol=0.0)
-        roots_y = C.chebroots(coeffs)
-        return self.center + self.half * roots_y
+        """The real zeros of P, sorted: one per sign change of P along the
+        alternation set extended by -inf and +inf, which is where the
+        alternation theorem puts every real zero."""
+        if self.degree == 0:
+            return np.empty(0)
+        lead = math.copysign(1.0, self.cheb_coeffs[self.degree])
+        s = np.concatenate([[lead * (-1) ** self.degree], self.signs, [lead]])
+        ends = np.concatenate([[-math.inf], self.alternation, [math.inf]])
+        k = np.flatnonzero(s[:-1] != s[1:])
+        # started halfway in arccos of the hull coordinate: exact for Chebyshev polynomials
+        theta = np.arccos(np.clip((ends - self.center) / self.half, -1.0, 1.0))
+        x0 = self.center + self.half * np.cos(0.5 * (theta[k] + theta[k + 1]))
+        return bracketed_roots(self.derivatives(), ends[k], ends[k + 1], s[k + 1] > 0, x0, self.half)
 
     def leading_coefficient(self) -> float:
         if len(self.cheb_coeffs) != self.n + 1:
@@ -131,9 +138,62 @@ def _norm_row(x_star: float, center: float, half: float, n: int) -> np.ndarray:
     coefficient of P in x for infinite x*."""
     if math.isinf(x_star):
         row = np.zeros(n + 1)
-        row[n] = 2.0 ** max(n - 1, 0) / half**n
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            row[n] = np.float64(2.0) ** max(n - 1, 0) / np.float64(half) ** n
+        if not 0.0 < row[n] < math.inf:
+            raise IllConditionedError(
+                f"monic normalization 2^(n-1)/half^n at n = {n}, hull half-width {half:.6g}, "
+                "is not a finite nonzero float64 (largest 1.8e308, smallest 4.9e-324)"
+            )
         return row
     return C.chebvander(np.array([(x_star - center) / half]), n)[0]
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # such steps bisect instead
+def bracketed_roots(fd, lo, hi, rising, x0=None, scale=1.0) -> np.ndarray:
+    """One root of f in each bracket (lo_k, hi_k), all brackets at once.
+
+    fd(x) returns f, f' and f'' at an array of points; f changes sign across
+    each bracket, rising from lo_k to hi_k where rising_k holds.  An
+    infinite end moves in from the finite end by steps of scale_k, doubled
+    until f changes sign.  Halley's iteration starts at x0_k (else at the
+    midpoint) and shrinks the bracket; a step leaving it bisects instead,
+    so f is never evaluated at an end.  A root is done once its step, or
+    the next one predicted from the last two, is a few ulp of
+    |x| + scale_k, or once steps below 1e-8 of it stop shrinking.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    rising, scale = np.full(lo.shape, rising), np.full(lo.shape, scale, dtype=float)
+    reach = scale.copy()
+    for _ in range(_ROOT_STEPS):
+        k = np.flatnonzero(~np.isfinite(lo + hi))
+        if not k.size:
+            break
+        trial = np.where(np.isinf(hi[k]), lo[k] + reach[k], hi[k] - reach[k])
+        up = (fd(trial)[0] > 0) == rising[k]
+        hi[k], lo[k] = np.where(up, trial, hi[k]), np.where(up, lo[k], trial)
+        reach[k] *= 2.0
+    else:
+        raise NoConvergenceError(f"no sign change within {_ROOT_STEPS} doublings of a bracket")
+    mid = 0.5 * (lo + hi)
+    x = mid if x0 is None else np.where((x0 > lo) & (x0 < hi), x0, mid)
+    last, live = np.full(x.size, math.inf), np.ones(x.size, dtype=bool)
+    for _ in range(_ROOT_STEPS):
+        f, d1, d2 = fd(x)
+        newton = f / d1
+        step = newton / (1.0 - 0.5 * newton * d2 / d1)
+        up = (f > 0) == rising
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        new, moved, ref = x - step, np.abs(step), np.abs(x) + scale
+        tol = 4 * _EPS * ref
+        done = (moved <= tol) | ((last <= 1e-3 * ref) & (moved**3 <= tol * last**2))
+        done |= (moved >= last) & (last <= 1e-8 * ref)
+        inside = (new > lo) & (new < hi)
+        x = np.where(live, np.where(inside | done, np.minimum(np.maximum(new, lo), hi), 0.5 * (lo + hi)), x)
+        last, live = moved, live & ~done
+        if not live.any():
+            break
+    return x
 
 
 def _sign_factor(x, x_star: float):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ def test_solve_classical(tmp_path):
     assert code == 0
     data = json.loads((out / "solve.json").read_text())
     assert abs(data["solution"]["t"] - 0.25) < 1e-12
-    assert data["solution"]["coefficients"] == [0, -0.75, 0, 1]
+    # x^3 - 0.75 x = T_3(x)/4; the monomial coefficients field is gone
+    assert data["solution"]["cheb_coeffs"] == [0, 0, 0, 0.25]
+    assert "coefficients" not in data["solution"]
     csv_text = (out / "solve.csv").read_text().splitlines()
     assert csv_text[0] == "n,degree,t,defect"
 
@@ -55,6 +60,27 @@ def test_bad_weight_kind_path(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "solve", doc)
     assert code == 2
     assert "/weight/kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"bands": [[-1, 1]], "n": 1100},
+        {"bands": [[-1, 1]], "x_star": 1.5, "n": 1100},
+        {"bands": [[-0.01, 0.01]], "n": 170},
+    ],
+)
+def test_normalization_overflow_exits_one_without_traceback(tmp_path, doc):
+    # a fresh process, so that an uncaught exception would show its traceback
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-m", "chebpot.cli", "solve", "--config", str(cfg), "--out", str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: solve: IllConditionedError:")
+    assert f"n = {doc['n']}" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_computation_error_exit_one(tmp_path, capsys):

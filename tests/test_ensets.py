@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebpot.ensets import (
     blaschke_magnitude,
@@ -248,6 +250,10 @@ def test_cancellation_on_scaled_hull():
     x = 1.7
     want = sol(x) / x  # R = T/P with the common zero cancelled
     assert abs(abs(fr(x)) - abs(want)) < 1e-10 * abs(want)
+    # the product form is R = sign * T/P_m on E, in the gaps and far out
+    for x in (-1.9, -1.2, 1.5, 2.0, -0.7, 0.4, 1.1, 9.0, -40.0):
+        want = fr.sign * sol(x) / x
+        assert abs(fr(x) - want) <= 1e-13 * abs(want)
     bs = compute_band_set(fr)
     assert bs.report.ok and len(bs.bands) == 2
     rep = verify_band_measures(bs)
@@ -282,3 +288,66 @@ def test_array_green_exponent_matches_scalar_green_cross():
         lhs = abs(fr(z))
         assert abs(res - abs(lhs - bs.level * math.cosh(G)) / lhs) < 1e-13
         assert abs(blaschke_magnitude(bs, z) - math.exp(-G)) < 1e-13
+
+
+# -- level sets from R's zeros -------------------------------------------------
+
+
+def test_band_measures_e06_real_pole_n24():
+    # |R(-0.6)| = t(1 - 6e-10) puts the level-set end a sliver past E's band
+    # end, where the square-root density gives it mass ~1e-5; it snaps onto -0.6
+    bs = compute_band_set(frame_for(E06, W3, math.inf, 24))
+    rep = verify_band_measures(bs)
+    assert rep.passed
+    assert bs.report.ok
+
+
+def test_band_measures_jittered_three_bands():
+    E = make_set([
+        (-1.0010426807771782, -0.4933460141188624),
+        (-0.20854487792741488, 0.29651447082690136),
+        (0.6058995197421574, 1.0091438044278003),
+    ])
+    bs = compute_band_set(frame_for(E, UNIT, 0.4354068527345654, 6))
+    assert verify_band_measures(bs).passed
+
+
+def test_band_measures_readme_example():
+    bs = compute_band_set(frame_for(E1, W3, math.inf, 8))
+    assert verify_band_measures(bs).max_band_deviation <= 1e-12
+
+
+def test_touching_bands_share_their_end():
+    bs = compute_band_set(frame_for(E1, UNIT, math.inf, 3))
+    assert bs.bands[0][1] == bs.bands[1][0]
+    assert bs.bands[1][1] == bs.bands[2][0]
+
+
+def _off_set_samples(bs):
+    """Real points off the level set: beyond its hull and inside its gaps."""
+    lo, hi = bs.merged.hull
+    span = hi - lo
+    pts = [hi + span * 0.05 * k for k in range(1, 6)] + [lo - span * 0.05 * k for k in range(1, 6)]
+    for gap in bs.merged.gaps():
+        if gap.bounded:
+            pts += list(np.linspace(gap.lo, gap.hi, 5)[1:-1])
+    return [x for x in pts if all(abs(x - complex(c)) > 1e-6 * span for c in bs.frame.retained)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    widths=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=5).filter(lambda v: len(v) % 2),
+    pole=st.one_of(st.none(), st.floats(1.1, 3.0), st.floats(-3.0, -1.1)),
+    data=st.data(),
+)
+def test_band_measure_identity_property(widths, pole, data):
+    # 1-3 bands in [-1, 1] (band, gap, band, ... widths), unit weight or 1/|x - c| off the hull
+    ends = -1.0 + 2.0 * np.cumsum([0.0] + widths) / sum(widths)
+    E = make_set(list(zip(ends[0::2], ends[1::2])))
+    w = UNIT if pole is None else RecipPolyWeight([-pole, 1.0])
+    n = data.draw(st.integers(compute_n0(E, w, math.inf), 12), label="n")
+    bs = compute_band_set(frame_for(E, w, math.inf, n))
+    rep = verify_band_measures(bs)
+    assert len(bs.bands) == bs.frame.d_n and bs.report.ok
+    assert rep.passed and rep.max_band_deviation <= 1e-9
+    assert verify_cosh_identity(bs, _off_set_samples(bs)).passed

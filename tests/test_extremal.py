@@ -8,6 +8,7 @@ from numpy.polynomial import chebyshev as C
 from chebpot import extremal
 from chebpot.errors import (
     DifferentGapError,
+    IllConditionedError,
     PoleOnSetError,
     WeightDegenerateError,
 )
@@ -37,7 +38,8 @@ UNIT = UnitWeight()
 def test_classical_chebyshev_n3():
     sol = solve_extremal(E1, UNIT, math.inf, 3)
     assert abs(sol.t - 0.25) < 1e-12
-    np.testing.assert_allclose(sol.coefficients(), [0, -0.75, 0, 1], atol=1e-12)
+    x = np.linspace(-2, 2, 9)
+    np.testing.assert_allclose(sol(x), x**3 - 0.75 * x, atol=1e-12)
     np.testing.assert_allclose(sol.alternation, [-1, -0.5, 0.5, 1], atol=1e-10)
     assert sol.k_star == 4 and sol.signs == (-1, 1, -1, 1)
     # LP on a shared grid never exceeds the continuum minimum
@@ -330,3 +332,19 @@ def test_initial_reference_ignores_mass_rounding(monkeypatch, n):
         refs.append(extremal._initial_reference(_Workspace(E06, UNIT, math.inf, n, RemezOptions())))
     np.testing.assert_array_equal(refs[0], refs[1])
     assert np.sum(refs[1] < 0) == n // 2 + 1
+
+
+# the monic normalization 2^(n-1)/half^n overflows (n = 1100 on [-1, 1], also
+# behind a finite x* in the unbounded gap) or half^n underflows to zero
+OUT_OF_RANGE = [([(-1, 1)], math.inf, 1100), ([(-1, 1)], 1.5, 1100), ([(-0.01, 0.01)], math.inf, 170)]
+
+
+@pytest.mark.parametrize("bands, x_star, n", OUT_OF_RANGE)
+def test_normalization_outside_float64_is_named(bands, x_star, n):
+    with pytest.raises(IllConditionedError, match=f"n = {n}, hull half-width .* float64"):
+        solve_extremal(make_set(bands), UNIT, x_star, n)
+
+
+def test_zeros_match_classical_chebyshev():
+    sol = solve_extremal(E1, UNIT, math.inf, 7)
+    np.testing.assert_allclose(sol.zeros(), np.cos(np.pi * (np.arange(7, 0, -1) - 0.5) / 7), atol=1e-14)
